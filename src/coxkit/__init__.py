@@ -2,9 +2,11 @@
 
 Decides reducedness, cyclic reducedness, conjugacy (with completeness
 bases and replayable certificates), torsion-freeness and straightness of
-group elements, entirely by word rewriting: braid moves, cyclic shifts,
-and cancellations.  A floating-point geometric representation and
-brute-force enumeration live alongside as independent cross-checks.
+group elements exactly: reducedness and normal forms by the minimal-root
+table of Brink and Howlett in exact arithmetic, the rest by word rewriting
+(braid moves, cyclic shifts and cancellations).  A floating-point geometric
+representation and brute-force enumeration live alongside as independent
+cross-checks.
 """
 
 from .core import (

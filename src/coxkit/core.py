@@ -1,17 +1,25 @@
 """Core word engine for Coxeter systems.
 
-Everything here is exact and purely combinatorial.  An element is known only
-through its reduced words, and every question about words is answered by
-searching the graph of braid moves (Tits' solution to the word problem):
+Everything here is exact and purely combinatorial.  Reducedness and normal
+forms come from the table of minimal roots of Brink and Howlett (see
+``roots``), built once per system in exact arithmetic:
 
-  * a word is reduced iff no sequence of braid moves produces two equal
-    adjacent letters;
-  * two reduced words spell the same element iff they are connected by braid
-    moves, so the shortlex-least word of the braid class is a normal form.
+  * walking the simple root of s backward through a reduced word w by the
+    table reaches "negative" at position i exactly when w*s is not reduced,
+    and then w*s is w with letter i deleted (the exchange condition);
+  * a word is reduced iff each letter passes that test against the prefix
+    before it; appending letters one at a time and deleting at the exchange
+    position reduces any word;
+  * the shortlex-least reduced word, the normal form, is built by stripping
+    the least left descent again and again.
 
-Closure searches carry a node cap; exceeding it raises CapExceeded rather
-than returning a guess.  All values are immutable after construction; the
-per-system dictionaries on :class:`CoxeterMatrix` are memo caches only.
+So ``canonical_word`` and ``is_reduced`` never search and never raise
+CapExceeded.  Braid classes, commutation classes and braid-move paths are
+still found by searching the graph of braid moves (Tits: two reduced words
+spell the same element iff braid moves connect them); those searches carry a
+node cap, and exceeding it raises CapExceeded rather than returning a guess.
+All values are immutable after construction; the per-system dictionaries on
+:class:`CoxeterMatrix` are memo caches only.
 
 Words are stored as ``bytes`` of generator indices (rank is capped at 255):
 hashing and slicing of bytes dominate the closure searches and are far
@@ -33,6 +41,7 @@ from .errors import (
     ReplayError,
     WordSyntaxError,
 )
+from .roots import NEG, minimal_root_table
 
 INFINITY = math.inf
 
@@ -63,7 +72,8 @@ class CoxeterMatrix:
     the same names in the same order and the same table.
     """
 
-    __slots__ = ("names", "table", "_index", "_single_char", "_hash", "_scratch")
+    __slots__ = ("names", "table", "_index", "_single_char", "_hash", "_scratch",
+                 "_descent_candidates")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence]) -> None:
         names = tuple(names)
@@ -101,6 +111,9 @@ class CoxeterMatrix:
         object.__setattr__(self, "_hash", hash((names, rows)))
         # memo caches shared with sibling modules; never part of equality
         object.__setattr__(self, "_scratch", {})
+        # for each generator, the smaller ones with a finite order against it
+        object.__setattr__(self, "_descent_candidates", tuple(
+            tuple(j for j in range(i) if rows[i][j] != INFINITY) for i in range(n)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoxeterMatrix is immutable")
@@ -158,7 +171,7 @@ class CoxeterMatrix:
         empty string) is the empty word.
         """
         if isinstance(text, bytes):
-            if any(letter >= len(self.names) for letter in text):
+            if text and max(text) >= len(self.names):
                 raise WordSyntaxError("word contains an invalid generator index")
             return text
         if isinstance(text, str):
@@ -361,22 +374,82 @@ def _cache(matrix, name) -> dict:
     return matrix._scratch.setdefault(name, {})
 
 
+def _root_table(matrix: CoxeterMatrix) -> dict:
+    """The minimal-root transition table, built on first use: root -> row."""
+    table = matrix._scratch.get("roots")
+    if table is None:
+        table = dict(enumerate(minimal_root_table(matrix.table)))
+        matrix._scratch["roots"] = table
+    return table
+
+
+def _exchange(act: dict, word, s: int) -> Optional[int]:
+    """For a reduced word w: the position i with w*s = w minus letter i, or
+    None when w*s is reduced."""
+    beta = s
+    for i in range(len(word) - 1, -1, -1):
+        beta = act[beta][word[i]]
+        if beta < 0:
+            return i if beta == NEG else None
+    return None
+
+
+def _reduce(act: dict, word: Word, trail: list) -> Word:
+    """A reduced word for the element spelled by ``word``.
+
+    Appends letter after letter, deleting at the exchange position (the walk
+    of :func:`_exchange`, inlined: this loop is the engine's hot path).  Each
+    word met after a deletion, the rest of the input still appended, spells
+    the same element and goes to ``trail``.
+    """
+    out = bytearray()
+    for k, s in enumerate(word):
+        beta = s
+        for i in range(len(out) - 1, -1, -1):
+            beta = act[beta][out[i]]
+            if beta < 0:
+                break
+        if beta == NEG:
+            del out[i]
+            trail.append(bytes(out) + word[k + 1 :])
+        else:
+            out.append(s)
+    return bytes(out)
+
+
+def _shortlex(matrix: CoxeterMatrix, act: dict, word: Word) -> Word:
+    """The shortlex-least word of the element spelled by the reduced ``word``.
+
+    Strips the least left descent again and again, working on the reversed
+    word (which spells the inverse, so left descents become right ones).  The
+    first letter is always a left descent, so only smaller letters need a
+    test, and only those with a finite order against it: left descents
+    generate a finite group.
+    """
+    out = bytearray()
+    rev = bytearray(word[::-1])
+    candidates = matrix._descent_candidates
+    while rev:
+        least, pos = rev[-1], len(rev) - 1
+        for t in candidates[least]:
+            i = _exchange(act, rev, t)
+            if i is not None:
+                least, pos = t, i
+                break
+        out.append(least)
+        del rev[pos]
+    return bytes(out)
+
+
 def is_reduced(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> bool:
-    """Decide reducedness by closure search with early exit on a repeated pair."""
+    """Decide reducedness: no letter is deleted while reducing the word."""
     word = matrix.word(word)
     cache = _cache(matrix, "reduced")
     hit = cache.get(word)
-    if hit is not None:
-        return hit
-    seen, repeat = _orbit_scan(matrix, word, cap)
-    verdict = repeat is None
-    if len(seen) <= _MEMBER_CACHE_LIMIT:
-        # every word of one orbit shares the verdict
-        for w in seen:
-            cache[w] = verdict
-    else:
-        cache[word] = verdict
-    return verdict
+    if hit is None:
+        hit = len(_reduce(_root_table(matrix), word, [])) == len(word)
+        cache[word] = hit
+    return hit
 
 
 def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> frozenset:
@@ -397,9 +470,12 @@ def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -
         raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
     cls = frozenset(seen)
     if len(seen) <= _MEMBER_CACHE_LIMIT:
+        canon = _cache(matrix, "canon")
+        least = min(seen)
         for w in seen:
             reduced[w] = True
             classes[w] = cls
+            canon[w] = least
     else:
         reduced[word] = True
     return cls
@@ -417,41 +493,24 @@ def commutation_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_
 def canonical_word(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> Word:
     """Shortlex-least reduced word of the element spelled by ``word``.
 
-    Repeatedly searches the braid orbit for an equal adjacent pair, deletes
-    it, and restarts; once no deletion applies, takes the least orbit member.
+    Reduces by the exchange walk, then strips least left descents; no search,
+    so ``cap`` is never reached.  The answer is memoised under the input, the
+    words met while reducing it, the reduced word and the answer itself.
     """
-    cur = matrix.word(word)
-    canon_cache = _cache(matrix, "canon")
-    reduced = _cache(matrix, "reduced")
-    trail = []
-    while True:
-        hit = canon_cache.get(cur)
-        if hit is not None:
-            canon = hit
-            break
-        trail.append(cur)
-        seen, repeat = _orbit_scan(matrix, cur, cap)
-        if repeat is None:
-            canon = min(seen)
-            if len(seen) <= _MEMBER_CACHE_LIMIT:
-                cls = frozenset(seen)
-                classes = _cache(matrix, "class")
-                for w in seen:
-                    reduced[w] = True
-                    classes[w] = cls
-                    canon_cache[w] = canon
-            else:
-                reduced[cur] = True
-                reduced[canon] = True
-                canon_cache[canon] = canon
-            break
-        if len(seen) <= _MEMBER_CACHE_LIMIT:
-            for w in seen:
-                reduced[w] = False
-        sigma, p = repeat
-        cur = sigma[:p] + sigma[p + 2 :]
-    for w in trail:
-        canon_cache[w] = canon
+    word = matrix.word(word)
+    cache = _cache(matrix, "canon")
+    canon = cache.get(word)
+    if canon is None:
+        act = _root_table(matrix)
+        trail = [word]
+        reduced = _reduce(act, word, trail)
+        canon = cache.get(reduced)
+        if canon is None:
+            canon = _shortlex(matrix, act, reduced)
+            cache[reduced] = canon
+            cache[canon] = canon
+        for w in trail:
+            cache[w] = canon
     return canon
 
 
@@ -603,13 +662,22 @@ def conjugate(v: Element, x: Element, cap: int = DEFAULT_CAP) -> Element:
     return multiply(multiply(v, x, cap), inverse(v, cap), cap)
 
 
+def _descents(matrix: CoxeterMatrix, word: Word) -> frozenset:
+    act = _root_table(matrix)
+    return frozenset(s for s in range(matrix.rank) if _exchange(act, word, s) is not None)
+
+
 def left_descents(x: Element, cap: int = DEFAULT_CAP) -> frozenset:
-    """{s : l(s*x) < l(x)}; equivalently the first letters over all reduced words."""
-    return frozenset(w[0] for w in braid_class(x.system, x.word, cap) if w)
+    """{s : l(s*x) < l(x)}; equivalently the first letters over all reduced words.
+
+    These are the right descents of the reversed word, which spells x^-1.
+    """
+    return _descents(x.system, x.word[::-1])
 
 
 def right_descents(x: Element, cap: int = DEFAULT_CAP) -> frozenset:
-    return frozenset(w[-1] for w in braid_class(x.system, x.word, cap) if w)
+    """{s : l(x*s) < l(x)}, by the exchange walk of each generator."""
+    return _descents(x.system, x.word)
 
 
 def support(x: Element) -> frozenset:
