@@ -32,7 +32,6 @@ from .core import (
     reduce_word,
     reduce_word_with_path,
     right_descents,
-    sort_key,
     support,
 )
 from .conjugacy import (

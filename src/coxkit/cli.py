@@ -26,7 +26,7 @@ import re
 import sys
 
 from . import conjugacy, oracle, parabolic, straight
-from .core import DEFAULT_CAP, INFINITY, CoxeterMatrix, Element
+from .core import DEFAULT_CAP, INFINITY, CoxeterMatrix
 from .errors import (
     CapExceeded,
     CoxeterError,
@@ -164,23 +164,19 @@ def _word_out(matrix, word) -> str:
 # command handlers: each returns an exit code
 
 
-def _element(matrix, text, cap) -> Element:
-    return matrix.element(matrix.word(text), cap)
-
-
 def _join_word(args_word) -> str:
     return " ".join(args_word)
 
 
 def cmd_reduce(matrix, args, out):
-    e = _element(matrix, _join_word(args.word), args.cap)
+    e = matrix.element(_join_word(args.word))
     out.payload["result"] = _word_out(matrix, e.word)
     out.line(_word_out(matrix, e.word))
     return EXIT_OK
 
 
 def cmd_length(matrix, args, out):
-    e = _element(matrix, _join_word(args.word), args.cap)
+    e = matrix.element(_join_word(args.word))
     out.payload["result"] = e.length
     out.line(e.length)
     return EXIT_OK
@@ -189,29 +185,25 @@ def cmd_length(matrix, args, out):
 def cmd_is_reduced(matrix, args, out):
     from .core import is_reduced
 
-    verdict = is_reduced(matrix, matrix.word(_join_word(args.word)), args.cap)
+    verdict = is_reduced(matrix, _join_word(args.word))
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
     return EXIT_OK
 
 
-def cmd_canonical(matrix, args, out):
-    return cmd_reduce(matrix, args, out)
-
-
 def cmd_mult(matrix, args, out):
     from .core import multiply
 
-    x = _element(matrix, args.left, args.cap)
-    y = _element(matrix, args.right, args.cap)
-    e = multiply(x, y, args.cap)
+    x = matrix.element(args.left)
+    y = matrix.element(args.right)
+    e = multiply(x, y)
     out.payload["result"] = _word_out(matrix, e.word)
     out.line(_word_out(matrix, e.word))
     return EXIT_OK
 
 
 def cmd_inverse(matrix, args, out):
-    e = _element(matrix, _join_word(args.word), args.cap).inverse()
+    e = matrix.element(_join_word(args.word)).inverse()
     out.payload["result"] = _word_out(matrix, e.word)
     out.line(_word_out(matrix, e.word))
     return EXIT_OK
@@ -220,7 +212,7 @@ def cmd_inverse(matrix, args, out):
 def cmd_power(matrix, args, out):
     from .core import power
 
-    e = power(_element(matrix, args.word, args.cap), args.n, args.cap)
+    e = power(matrix.element(args.word), args.n)
     out.payload["result"] = _word_out(matrix, e.word)
     out.line(_word_out(matrix, e.word))
     return EXIT_OK
@@ -229,7 +221,7 @@ def cmd_power(matrix, args, out):
 def cmd_support(matrix, args, out):
     from .core import support
 
-    members = support(_element(matrix, _join_word(args.word), args.cap))
+    members = support(matrix.element(_join_word(args.word)))
     out.payload["result"] = [matrix.names[i] for i in sorted(members)]
     out.line(_subset_str(matrix, members))
     return EXIT_OK
@@ -238,9 +230,9 @@ def cmd_support(matrix, args, out):
 def cmd_descents(matrix, args, out):
     from .core import left_descents, right_descents
 
-    e = _element(matrix, _join_word(args.word), args.cap)
-    left = left_descents(e, args.cap)
-    right = right_descents(e, args.cap)
+    e = matrix.element(_join_word(args.word))
+    left = left_descents(e)
+    right = right_descents(e)
     out.payload["result"] = {
         "left": [matrix.names[i] for i in sorted(left)],
         "right": [matrix.names[i] for i in sorted(right)],
@@ -269,9 +261,7 @@ def cmd_components(matrix, args, out):
 
 
 def cmd_closure(matrix, args, out):
-    sub = parabolic.standard_parabolic_closure(
-        _element(matrix, _join_word(args.word), args.cap)
-    )
+    sub = parabolic.standard_parabolic_closure(matrix.element(_join_word(args.word)))
     out.payload["result"] = {
         "members": [matrix.names[i] for i in sorted(sub.members)],
         "components": [[matrix.names[i] for i in sorted(c)] for c in sub.components],
@@ -288,7 +278,7 @@ def cmd_closure(matrix, args, out):
 
 def cmd_is_cyclically_reduced(matrix, args, out):
     verdict = conjugacy.is_cyclically_reduced(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
@@ -297,7 +287,7 @@ def cmd_is_cyclically_reduced(matrix, args, out):
 
 def cmd_cyclic_reduce(matrix, args, out):
     target, cert = conjugacy.cyclic_reduce(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     out.payload["result"] = _word_out(matrix, target.word)
     out.payload["certificate"] = _cert_lines(matrix, cert)
@@ -310,7 +300,7 @@ def cmd_cyclic_reduce(matrix, args, out):
 
 def cmd_kappa_class(matrix, args, out):
     closure = conjugacy.kappa_closure(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     words = [_word_out(matrix, v.word) for v in closure.nodes]
     out.payload["result"] = {
@@ -325,7 +315,7 @@ def cmd_kappa_class(matrix, args, out):
 
 def cmd_min_stratum(matrix, args, out):
     closure = conjugacy.kappa_closure(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     words = [_word_out(matrix, v.word) for v in closure.min_stratum]
     out.payload["result"] = words
@@ -336,8 +326,8 @@ def cmd_min_stratum(matrix, args, out):
 
 def cmd_is_conjugate(matrix, args, out):
     verdict = conjugacy.are_conjugate(
-        _element(matrix, args.left, args.cap),
-        _element(matrix, args.right, args.cap),
+        matrix.element(args.left),
+        matrix.element(args.right),
         cap=args.cap,
         brute_force=args.brute,
         brute_len_cap=args.brute_len,
@@ -369,7 +359,7 @@ def cmd_is_conjugate(matrix, args, out):
 
 def cmd_is_finite_order(matrix, args, out):
     verdict = conjugacy.is_finite_order(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
@@ -378,7 +368,7 @@ def cmd_is_finite_order(matrix, args, out):
 
 def cmd_cent_prime(matrix, args, out):
     verdict = conjugacy.has_cent_prime(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
@@ -386,9 +376,7 @@ def cmd_cent_prime(matrix, args, out):
 
 
 def cmd_is_torsion_free(matrix, args, out):
-    witness = parabolic.torsion_witness(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
-    )
+    witness = parabolic.torsion_witness(matrix.element(_join_word(args.word)))
     verdict = witness is None
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
@@ -400,9 +388,8 @@ def cmd_is_torsion_free(matrix, args, out):
 
 def cmd_normaliser_decompose(matrix, args, out):
     decomposition = parabolic.normaliser_decomposition(
-        _element(matrix, args.word, args.cap),
+        matrix.element(args.word),
         _subset_from_args(matrix, args.subset),
-        args.cap,
     )
     torsion = _word_out(matrix, decomposition.torsion_part.word)
     complement = _word_out(matrix, decomposition.straight_part.word)
@@ -413,7 +400,7 @@ def cmd_normaliser_decompose(matrix, args, out):
 
 def cmd_is_straight(matrix, args, out):
     verdict = straight.is_straight(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     out.payload["result"] = verdict.straight
     out.line(_bool_str(verdict.straight))
@@ -442,23 +429,21 @@ def cmd_is_straight(matrix, args, out):
 
 
 def cmd_power_profile(matrix, args, out):
-    profile = straight.power_length_profile(
-        _element(matrix, args.word, args.cap), args.n, args.cap
-    )
+    profile = straight.power_length_profile(matrix.element(args.word), args.n)
     out.payload["result"] = list(profile)
     out.line(",".join(str(n) for n in profile))
     return EXIT_OK
 
 
 def cmd_is_fc(matrix, args, out):
-    verdict = straight.is_fc(_element(matrix, _join_word(args.word), args.cap), args.cap)
+    verdict = straight.is_fc(matrix.element(_join_word(args.word)), args.cap)
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
     return EXIT_OK
 
 
 def cmd_is_cfc(matrix, args, out):
-    verdict = straight.is_cfc(_element(matrix, _join_word(args.word), args.cap), args.cap)
+    verdict = straight.is_cfc(matrix.element(_join_word(args.word)), args.cap)
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
     return EXIT_OK
@@ -466,7 +451,7 @@ def cmd_is_cfc(matrix, args, out):
 
 def cmd_cfc_straight(matrix, args, out):
     verdict = straight.cfc_straight(
-        _element(matrix, _join_word(args.word), args.cap), args.cap
+        matrix.element(_join_word(args.word)), args.cap
     )
     out.payload["result"] = verdict
     out.line(_bool_str(verdict))
@@ -503,7 +488,7 @@ def cmd_enumerate(matrix, args, out):
 
 def cmd_brute_class(matrix, args, out):
     elements = oracle.conjugacy_class_bruteforce(
-        _element(matrix, args.word, args.cap), args.len_cap, cap=args.cap
+        matrix.element(args.word), args.len_cap, cap=args.cap
     )
     words = [_word_out(matrix, e.word) for e in elements]
     out.payload["result"] = words
@@ -513,7 +498,7 @@ def cmd_brute_class(matrix, args, out):
 
 
 def cmd_brute_order(matrix, args, out):
-    order = oracle.order_bruteforce(_element(matrix, args.word, args.cap), args.n_cap)
+    order = oracle.order_bruteforce(matrix.element(args.word), args.n_cap)
     out.payload["result"] = order
     out.line("absent" if order is None else order)
     return EXIT_OK
@@ -562,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, handler, help_text in [
         ("reduce", cmd_reduce, "reduce a word to its canonical form"),
-        ("canonical", cmd_canonical, "canonical (shortlex-least reduced) word"),
+        ("canonical", cmd_reduce, "canonical (shortlex-least reduced) word"),
         ("length", cmd_length, "length of the element a word spells"),
         ("is-reduced", cmd_is_reduced, "decide reducedness of a word"),
         ("inverse", cmd_inverse, "canonical word of the inverse"),

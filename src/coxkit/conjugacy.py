@@ -131,7 +131,7 @@ def _elementary_edges(u: Element, cap: int = DEFAULT_CAP) -> tuple:
         for rho in sorted(braid_class(u.system, u.word, cap)):
             for k in range(1, len(rho) + 1):
                 rotated = rho[k:] + rho[:k]
-                out.append((rho, k, reduce_word(u.system, rotated, cap)))
+                out.append((rho, k, reduce_word(u.system, rotated)))
         hit = tuple(out)
         cache[u.word] = hit
     return hit
@@ -235,7 +235,7 @@ def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
     hit = cache.get(w.word)
     if hit is None:
         hit = all(
-            is_reduced(w.system, sigma, cap)
+            is_reduced(w.system, sigma)
             for rho in sorted(braid_class(w.system, w.word, cap))
             for sigma in rotations(rho)
         )
@@ -289,7 +289,7 @@ def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
                     if not j_set or not j_set <= members:
                         continue
                     gens = tuple(
-                        multiply(multiply(w_i, matrix.generator(j), cap), inverse(w_i, cap), cap)
+                        multiply(multiply(w_i, matrix.generator(j)), inverse(w_i))
                         for j in sorted(j_set)
                     )
                     genset = frozenset(gens)
@@ -302,13 +302,12 @@ def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
     return hit
 
 
-def _normalises_conjugated(w: Element, gens: tuple, w_i: Element, j_set: frozenset,
-                           cap: int) -> bool:
+def _normalises_conjugated(w: Element, gens: tuple, w_i: Element, j_set: frozenset) -> bool:
     # x lies in w_I W_J w_I^-1 iff w_I^-1 x w_I has support inside J
-    w_i_inv = inverse(w_i, cap)
+    w_i_inv = inverse(w_i)
     for g in gens:
-        conj = multiply(multiply(w, g, cap), inverse(w, cap), cap)
-        pulled = multiply(multiply(w_i_inv, conj, cap), w_i, cap)
+        conj = multiply(multiply(w, g), inverse(w))
+        pulled = multiply(multiply(w_i_inv, conj), w_i)
         if not support(pulled) <= j_set:
             return False
     return True
@@ -329,8 +328,8 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     verdict = True
     for w in sorted(nodes):
         for gens, w_i, j_set in candidates:
-            if _normalises_conjugated(w, gens, w_i, j_set, cap):
-                if not parabolic.centralises(w, gens, cap):
+            if _normalises_conjugated(w, gens, w_i, j_set):
+                if not parabolic.centralises(w, gens):
                     verdict = False
                     break
         if not verdict:
@@ -416,7 +415,7 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
         conjugators = oracle.enumerate_elements(matrix, brute_len_cap, cap=cap)
         exhaustive = not conjugators or conjugators[-1].length < brute_len_cap
         for v in conjugators:
-            if multiply(multiply(v, u1, cap), inverse(v, cap), cap) == u2:
+            if multiply(multiply(v, u1), inverse(v)) == u2:
                 return ConjugacyVerdict(ConjugacyStatus.CONJUGATE, conjugator=v)
         if exhaustive:
             return ConjugacyVerdict(

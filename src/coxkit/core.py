@@ -13,11 +13,12 @@ forms come from the table of minimal roots of Brink and Howlett (see
   * the shortlex-least reduced word, the normal form, is built by stripping
     the least left descent again and again.
 
-So ``canonical_word`` and ``is_reduced`` never search and never raise
-CapExceeded.  Braid classes, commutation classes and braid-move paths are
-still found by searching the graph of braid moves (Tits: two reduced words
-spell the same element iff braid moves connect them); those searches carry a
-node cap, and exceeding it raises CapExceeded rather than returning a guess.
+So the word layer (``canonical_word``, ``is_reduced``, products, inverses,
+descents) never searches and takes no node cap.  Braid classes, commutation
+classes and braid-move paths are found by one breadth-first search of the
+graph of braid moves, ``_braid_orbit`` (Tits: two reduced words spell the same
+element iff braid moves connect them); it carries a node cap, and exceeding it
+raises CapExceeded rather than returning a guess.
 All values are immutable after construction; the per-system dictionaries on
 :class:`CoxeterMatrix` are memo caches only.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import eq
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -215,9 +217,9 @@ class CoxeterMatrix:
     def generators(self) -> tuple:
         return tuple(Element(self, bytes([i])) for i in range(self.rank))
 
-    def element(self, word: WordLike, cap: int = DEFAULT_CAP) -> "Element":
+    def element(self, word: WordLike) -> "Element":
         """Parse and reduce a word to the element it spells."""
-        return reduce_word(self, self.word(word), cap)
+        return reduce_word(self, self.word(word))
 
 
 def new_system(names: Sequence[str], entries: Sequence[Sequence]) -> CoxeterMatrix:
@@ -269,6 +271,9 @@ def apply_step(matrix: CoxeterMatrix, word: Word, step: Step) -> Word:
     """Apply one move to a word, validating its applicability."""
     if isinstance(step, BraidStep):
         a, b = step.pair
+        generators = range(matrix.rank)
+        if a == b or a not in generators or b not in generators:
+            raise ReplayError(f"braid pair {step.pair!r} is not two distinct generators")
         m = matrix.m(a, b)
         if m == INFINITY:
             raise ReplayError(
@@ -291,60 +296,25 @@ def apply_step(matrix: CoxeterMatrix, word: Word, step: Step) -> Word:
     raise ReplayError(f"unknown move {step!r}")
 
 
-def _braid_moves(matrix: CoxeterMatrix, word: Word, only_commutations: bool = False):
-    """All applicable braid moves of a word, in deterministic position order."""
-    out = []
-    n = len(word)
-    table = matrix.table
-    for pos in range(n - 1):
-        a, b = word[pos], word[pos + 1]
-        if a == b:
-            continue
-        m = table[a][b]
-        if m == INFINITY or pos + m > n or (only_commutations and m != 2):
-            continue
-        if word[pos : pos + m] == _alternating(a, b, m):
-            replaced = word[:pos] + _alternating(b, a, m) + word[pos + m :]
-            out.append((BraidStep(pos, (a, b)), replaced))
-    return out
+def _has_repeat(word: Word) -> bool:
+    """Whether the word has an equal adjacent pair, so is not reduced."""
+    return any(map(eq, word, word[1:]))
 
 
-def _first_repeat(word: Word) -> Optional[int]:
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return i
-    return None
-
-
-def _orbit_scan(matrix, word, cap, parents=None, only_commutations=False):
+def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, parents=None):
     """Breadth-first search of the braid-move orbit of ``word``.
 
-    Stops at the first word carrying an equal adjacent pair, returning
-    ``(seen, (word, pos))``; otherwise exhausts the orbit and returns
-    ``(seen, None)``.  ``parents`` (when given) collects first-discovery
-    back-pointers ``word -> (previous word, BraidStep)``.
+    Returns ``(seen, hit)``: ``hit`` is the first word, in order of discovery
+    and the start word included, for which ``stop`` holds; the search ends
+    there.  Without such a word the orbit is exhausted and ``hit`` is None.
+    ``parents`` (when given) collects first-discovery back-pointers
+    ``word -> (previous word, position of the move)``.  More than ``cap``
+    words raise CapExceeded.
     """
-    p = _first_repeat(word)
-    if p is not None:
-        return {word}, (word, p)
+    if stop is not None and stop(word):
+        return {word}, word
     seen = {word}
     queue = deque([word])
-    if parents is not None:
-        # slower path with step objects, used only when a path is wanted
-        while queue:
-            cur = queue.popleft()
-            for step, nxt in _braid_moves(matrix, cur, only_commutations):
-                if nxt in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
-                seen.add(nxt)
-                parents[nxt] = (cur, step)
-                p = _first_repeat(nxt)
-                if p is not None:
-                    return seen, (nxt, p)
-                queue.append(nxt)
-        return seen, None
     table = matrix.table
     alternating = _alternating
     while queue:
@@ -353,7 +323,7 @@ def _orbit_scan(matrix, word, cap, parents=None, only_commutations=False):
         for pos in range(n - 1):
             a, b = cur[pos], cur[pos + 1]
             m = table[a][b]
-            if m == INFINITY or pos + m > n or (only_commutations and m != 2):
+            if m == INFINITY or pos + m > n or (commutations_only and m != 2):
                 continue
             if cur[pos : pos + m] != alternating(a, b, m):
                 continue
@@ -363,9 +333,10 @@ def _orbit_scan(matrix, word, cap, parents=None, only_commutations=False):
             if len(seen) >= cap:
                 raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
             seen.add(nxt)
-            p = _first_repeat(nxt)
-            if p is not None:
-                return seen, (nxt, p)
+            if parents is not None:
+                parents[nxt] = (cur, pos)
+            if stop is not None and stop(nxt):
+                return seen, nxt
             queue.append(nxt)
     return seen, None
 
@@ -441,7 +412,7 @@ def _shortlex(matrix: CoxeterMatrix, act: dict, word: Word) -> Word:
     return bytes(out)
 
 
-def is_reduced(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> bool:
+def is_reduced(matrix: CoxeterMatrix, word: WordLike) -> bool:
     """Decide reducedness: no letter is deleted while reducing the word."""
     word = matrix.word(word)
     cache = _cache(matrix, "reduced")
@@ -462,7 +433,7 @@ def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -
     hit = classes.get(word)
     if hit is not None:
         return hit
-    seen, repeat = _orbit_scan(matrix, word, cap)
+    seen, repeat = _braid_orbit(matrix, word, cap, stop=_has_repeat)
     reduced = _cache(matrix, "reduced")
     if repeat is not None:
         for w in seen:
@@ -484,18 +455,18 @@ def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -
 def commutation_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> frozenset:
     """Orbit of a reduced word under commutation moves only (pairs with m = 2)."""
     word = matrix.word(word)
-    if not is_reduced(matrix, word, cap):
+    if not is_reduced(matrix, word):
         raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
-    seen, _ = _orbit_scan(matrix, word, cap, only_commutations=True)
+    seen, _ = _braid_orbit(matrix, word, cap, commutations_only=True)
     return frozenset(seen)
 
 
-def canonical_word(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> Word:
+def canonical_word(matrix: CoxeterMatrix, word: WordLike) -> Word:
     """Shortlex-least reduced word of the element spelled by ``word``.
 
-    Reduces by the exchange walk, then strips least left descents; no search,
-    so ``cap`` is never reached.  The answer is memoised under the input, the
-    words met while reducing it, the reduced word and the answer itself.
+    Reduces by the exchange walk, then strips least left descents; no search.
+    The answer is memoised under the input, the words met while reducing it,
+    the reduced word and the answer itself.
     """
     word = matrix.word(word)
     cache = _cache(matrix, "canon")
@@ -515,28 +486,33 @@ def canonical_word(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP
 
 
 def _walk_parents(parents, target) -> list:
+    """The braid moves leading to ``target`` along first-discovery pointers."""
     chain = []
     w = target
     while w in parents:
-        w, step = parents[w]
-        chain.append(step)
+        w, pos = parents[w]
+        chain.append(BraidStep(pos, (w[pos], w[pos + 1])))
     chain.reverse()
     return chain
 
 
 def reduce_word_with_path(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP):
-    """Like :func:`reduce_word`, also returning the replayable move path."""
+    """Like :func:`reduce_word`, also returning the replayable move path.
+
+    Braid moves reach a word with an equal adjacent pair, which is cancelled,
+    until the braid orbit has none; then braid moves reach the canonical word.
+    """
     cur = matrix.word(word)
     steps = []
     while True:
         parents = {}
-        seen, repeat = _orbit_scan(matrix, cur, cap, parents)
-        if repeat is None:
-            canon = canonical_word(matrix, cur, cap)
+        _, sigma = _braid_orbit(matrix, cur, cap, stop=_has_repeat, parents=parents)
+        if sigma is None:
+            canon = canonical_word(matrix, cur)
             steps.extend(_walk_parents(parents, canon))
             return Element(matrix, canon), steps
-        sigma, p = repeat
         steps.extend(_walk_parents(parents, sigma))
+        p = next(i for i in range(len(sigma) - 1) if sigma[i] == sigma[i + 1])
         steps.append(CancelStep(p))
         cur = sigma[:p] + sigma[p + 2 :]
 
@@ -546,26 +522,13 @@ def braid_word_path(matrix: CoxeterMatrix, source: WordLike, target: WordLike,
     """A braid-move path between two words of one braid class."""
     source = matrix.word(source)
     target = matrix.word(target)
-    if source == target:
-        return []
     parents = {}
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for step, nxt in _braid_moves(matrix, cur):
-            if nxt in seen:
-                continue
-            if len(seen) >= cap:
-                raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
-            seen.add(nxt)
-            parents[nxt] = (cur, step)
-            if nxt == target:
-                return _walk_parents(parents, target)
-            queue.append(nxt)
-    raise ValueError(
-        f"{matrix.word_str(source)} and {matrix.word_str(target)} are not braid-related"
-    )
+    _, hit = _braid_orbit(matrix, source, cap, stop=target.__eq__, parents=parents)
+    if hit is None:
+        raise ValueError(
+            f"{matrix.word_str(source)} and {matrix.word_str(target)} are not braid-related"
+        )
+    return _walk_parents(parents, target)
 
 
 # ---------------------------------------------------------------------------
@@ -611,55 +574,50 @@ class Element:
         return f"Element({self.system.word_str(self.word)!r})"
 
 
-def sort_key(x: Element):
-    """Canonical element order: by length, then shortlex on the canonical word."""
-    return (len(x.word), x.word)
-
-
 def _same_system(x: Element, y: Element) -> CoxeterMatrix:
     if x.system != y.system:
         raise ValueError("elements live in different Coxeter systems")
     return x.system
 
 
-def reduce_word(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> Element:
+def reduce_word(matrix: CoxeterMatrix, word: WordLike) -> Element:
     """Reduce a word and return the element it spells."""
-    return Element(matrix, canonical_word(matrix, word, cap))
+    return Element(matrix, canonical_word(matrix, word))
 
 
-def multiply(x: Element, y: Element, cap: int = DEFAULT_CAP) -> Element:
+def multiply(x: Element, y: Element) -> Element:
     matrix = _same_system(x, y)
     cache = _cache(matrix, "mul")
     key = (x.word, y.word)
     hit = cache.get(key)
     if hit is None:
-        hit = canonical_word(matrix, x.word + y.word, cap)
+        hit = canonical_word(matrix, x.word + y.word)
         cache[key] = hit
     return Element(matrix, hit)
 
 
-def inverse(x: Element, cap: int = DEFAULT_CAP) -> Element:
+def inverse(x: Element) -> Element:
     cache = _cache(x.system, "inv")
     hit = cache.get(x.word)
     if hit is None:
         # the reverse of a reduced word is reduced; only canonicalisation remains
-        hit = canonical_word(x.system, x.word[::-1], cap)
+        hit = canonical_word(x.system, x.word[::-1])
         cache[x.word] = hit
     return Element(x.system, hit)
 
 
-def power(x: Element, n: int, cap: int = DEFAULT_CAP) -> Element:
+def power(x: Element, n: int) -> Element:
     if n < 0:
-        return power(inverse(x, cap), -n, cap)
+        return power(inverse(x), -n)
     acc = x.system.identity()
     for _ in range(n):
-        acc = multiply(acc, x, cap)
+        acc = multiply(acc, x)
     return acc
 
 
-def conjugate(v: Element, x: Element, cap: int = DEFAULT_CAP) -> Element:
+def conjugate(v: Element, x: Element) -> Element:
     """v * x * v^-1."""
-    return multiply(multiply(v, x, cap), inverse(v, cap), cap)
+    return multiply(multiply(v, x), inverse(v))
 
 
 def _descents(matrix: CoxeterMatrix, word: Word) -> frozenset:
@@ -667,7 +625,7 @@ def _descents(matrix: CoxeterMatrix, word: Word) -> frozenset:
     return frozenset(s for s in range(matrix.rank) if _exchange(act, word, s) is not None)
 
 
-def left_descents(x: Element, cap: int = DEFAULT_CAP) -> frozenset:
+def left_descents(x: Element) -> frozenset:
     """{s : l(s*x) < l(x)}; equivalently the first letters over all reduced words.
 
     These are the right descents of the reversed word, which spells x^-1.
@@ -675,7 +633,7 @@ def left_descents(x: Element, cap: int = DEFAULT_CAP) -> frozenset:
     return _descents(x.system, x.word[::-1])
 
 
-def right_descents(x: Element, cap: int = DEFAULT_CAP) -> frozenset:
+def right_descents(x: Element) -> frozenset:
     """{s : l(x*s) < l(x)}, by the exchange walk of each generator."""
     return _descents(x.system, x.word)
 

@@ -126,7 +126,7 @@ def enumerate_elements(matrix: CoxeterMatrix, max_len: Optional[int], *,
         grown = []
         for x in frontier:
             for g in gens:
-                y = multiply(x, g, cap)
+                y = multiply(x, g)
                 if y.length == x.length + 1 and y not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"element enumeration exceeded the node cap of {cap}")
@@ -153,7 +153,7 @@ def conjugacy_class_bruteforce(w: Element, conjugator_len_cap: Optional[int], *,
     matrix = w.system
     out = set()
     for v in enumerate_elements(matrix, conjugator_len_cap, cap=cap):
-        out.add(multiply(multiply(v, w, cap), inverse(v, cap), cap))
+        out.add(multiply(multiply(v, w), inverse(v)))
     return tuple(sorted(out))
 
 

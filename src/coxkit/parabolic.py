@@ -26,7 +26,6 @@ import networkx as nx
 from networkx.algorithms.isomorphism import categorical_edge_match
 
 from .core import (
-    DEFAULT_CAP,
     INFINITY,
     CoxeterMatrix,
     Element,
@@ -208,29 +207,29 @@ def element_of_parabolic(w: Element, subset: Members) -> bool:
     return support(w) <= _members(w.system, subset)
 
 
-def normalises(w: Element, subset: Members, cap: int = DEFAULT_CAP) -> bool:
+def normalises(w: Element, subset: Members) -> bool:
     """True iff conjugation by w keeps every generator of the subset in W_I."""
     members = _members(w.system, subset)
     return all(
-        support(conjugate(w, w.system.generator(i), cap)) <= members
+        support(conjugate(w, w.system.generator(i))) <= members
         for i in sorted(members)
     )
 
 
-def centralises(w: Element, generators: Iterable[Element], cap: int = DEFAULT_CAP) -> bool:
+def centralises(w: Element, generators: Iterable[Element]) -> bool:
     """True iff conjugation by w fixes each given element."""
-    return all(conjugate(w, g, cap) == g for g in generators)
+    return all(conjugate(w, g) == g for g in generators)
 
 
-def min_coset_rep(subset: Members, w: Element, cap: int = DEFAULT_CAP) -> Element:
+def min_coset_rep(subset: Members, w: Element) -> Element:
     """The unique shortest element of the coset W_I * w (strip left descents in I)."""
     members = _members(w.system, subset)
     cur = w
     while True:
-        ds = sorted(left_descents(cur, cap) & members)
+        ds = sorted(left_descents(cur) & members)
         if not ds:
             return cur
-        cur = multiply(w.system.generator(ds[0]), cur, cap)
+        cur = multiply(w.system.generator(ds[0]), cur)
 
 
 @dataclass(frozen=True)
@@ -243,44 +242,43 @@ class NormaliserDecomposition:
     straight_part: Element
 
 
-def normaliser_decomposition(w: Element, subset: Members,
-                             cap: int = DEFAULT_CAP) -> NormaliserDecomposition:
+def normaliser_decomposition(w: Element, subset: Members) -> NormaliserDecomposition:
     matrix = w.system
     sub = generator_subset(matrix, _members(matrix, subset))
     if not sub.spherical:
         raise NotSpherical(f"subset {sub} does not generate a finite subgroup")
-    if not normalises(w, sub.members, cap):
+    if not normalises(w, sub.members):
         raise NotNormalising(f"element {w} does not normalise W_{sub}")
-    n_part = min_coset_rep(sub.members, w, cap)
-    w_part = multiply(w, inverse(n_part, cap), cap)
+    n_part = min_coset_rep(sub.members, w)
+    w_part = multiply(w, inverse(n_part))
     if not (support(w_part) <= sub.members
             and w_part.length + n_part.length == w.length
-            and not (left_descents(n_part, cap) & sub.members)
-            and normalises(n_part, sub.members, cap)):
+            and not (left_descents(n_part) & sub.members)
+            and normalises(n_part, sub.members)):
         raise NotNormalising(f"element {w} admits no semidirect splitting over {sub}")
     return NormaliserDecomposition(sub, w_part, n_part)
 
 
-def torsion_witness(w: Element, cap: int = DEFAULT_CAP) -> Optional[frozenset]:
+def torsion_witness(w: Element) -> Optional[frozenset]:
     """A spherical subset witnessing a torsion factor of w, or None.
 
     The scan ranges over every spherical I (not only subsets of the support):
     the first I, in canonical order, that w normalises while having a left
     descent inside it.
     """
-    lds = left_descents(w, cap)
+    lds = left_descents(w)
     if not lds:
         return None
     for members in spherical_subsets(w.system):
-        if members and (lds & members) and normalises(w, members, cap):
+        if members and (lds & members) and normalises(w, members):
             return members
     return None
 
 
-def is_torsion_free(w: Element, cap: int = DEFAULT_CAP) -> bool:
+def is_torsion_free(w: Element) -> bool:
     """No length-additive factorisation w_I * n_I with nontrivial spherical
     torsion part; equivalent to having no torsion witness."""
-    return torsion_witness(w, cap) is None
+    return torsion_witness(w) is None
 
 
 def standard_parabolic_closure(w: Element) -> GeneratorSubset:

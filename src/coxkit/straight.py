@@ -72,26 +72,25 @@ class StraightnessVerdict:
     witness: Witness = None
 
 
-def power_length_profile(w: Element, n_max: int, cap: int = DEFAULT_CAP) -> tuple:
+def power_length_profile(w: Element, n_max: int) -> tuple:
     """Exact lengths l(w^1), ..., l(w^n_max); they may oscillate for torsion."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     out = []
     acc = w.system.identity()
     for _ in range(n_max):
-        acc = multiply(acc, w, cap)
+        acc = multiply(acc, w)
         out.append(acc.length)
     return tuple(out)
 
 
-def find_power_defect(w: Element, n_max: int = 10,
-                      cap: int = DEFAULT_CAP) -> Optional[PowerDefect]:
+def find_power_defect(w: Element, n_max: int = 10) -> Optional[PowerDefect]:
     """First exponent up to n_max with l(w^n) < n l(w), if any.
 
     A defect disproves straightness; absence proves nothing, so this is a
     cross-check, not a decision procedure.
     """
-    for n, length in enumerate(power_length_profile(w, n_max, cap), start=1):
+    for n, length in enumerate(power_length_profile(w, n_max), start=1):
         if length < n * w.length:
             return PowerDefect(n, length)
     return None
@@ -117,7 +116,7 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
                 f"length-preserved closure node {node} is not cyclically reduced"
             )
     for node in ordered:
-        witness = parabolic.torsion_witness(node, cap)
+        witness = parabolic.torsion_witness(node)
         if witness is not None:
             return StraightnessVerdict(
                 False,

@@ -3,13 +3,17 @@
 The systems are module-level singletons so that every test module reuses the
 same memo caches.  The oracles here are deliberately naive re-derivations
 (fixpoint iteration, explicit subgroup enumeration) kept independent of the
-engine's search machinery.
+engine's search machinery, plus reference path engines: separate
+breadth-first searches over explicit braid-move steps, which the engine's one
+orbit search must match move for move.
 """
 
 import itertools
 import math
+from collections import deque
 
-from coxkit import CoxeterMatrix
+from coxkit import DEFAULT_CAP, BraidStep, CancelStep, CoxeterMatrix, Element, canonical_word
+from coxkit.errors import CapExceeded
 
 INF = math.inf
 
@@ -24,6 +28,10 @@ A2T = CoxeterMatrix.from_pairs("stu", {("s", "t"): 3, ("t", "u"): 3, ("s", "u"):
 U3 = CoxeterMatrix.from_pairs(
     "abc", {("a", "b"): INF, ("b", "c"): INF, ("a", "c"): INF}
 )
+H3 = CoxeterMatrix.from_pairs("abc", {("a", "b"): 5, ("b", "c"): 3})
+B2T = CoxeterMatrix.from_pairs("stu", {("s", "t"): 4, ("t", "u"): 4})
+G2T = CoxeterMatrix.from_pairs("stu", {("s", "t"): 6, ("t", "u"): 3})
+T237 = CoxeterMatrix.from_pairs("stu", {("t", "u"): 3, ("s", "u"): 7})
 
 #: systems named by the word-problem equivalence sweep
 WORD_PROBLEM_SYSTEMS = (A3, B3, A2T, DINF, U3)
@@ -73,3 +81,116 @@ def naive_is_reduced(matrix, word):
         any(w[i] == w[i + 1] for i in range(len(w) - 1))
         for w in naive_braid_orbit(matrix, word)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference path engines
+
+
+def _alternating(a, b, m):
+    return bytes((a if i % 2 == 0 else b) for i in range(m))
+
+
+def reference_braid_moves(matrix, word, only_commutations=False):
+    """All applicable braid moves of a word, in position order, as
+    ``(BraidStep, resulting word)`` pairs."""
+    out = []
+    n = len(word)
+    for pos in range(n - 1):
+        a, b = word[pos], word[pos + 1]
+        if a == b:
+            continue
+        m = matrix.m(a, b)
+        if m == INF or pos + m > n or (only_commutations and m != 2):
+            continue
+        if word[pos : pos + m] == _alternating(a, b, m):
+            replaced = word[:pos] + _alternating(b, a, m) + word[pos + m :]
+            out.append((BraidStep(pos, (a, b)), replaced))
+    return out
+
+
+def _first_repeat(word):
+    for i in range(len(word) - 1):
+        if word[i] == word[i + 1]:
+            return i
+    return None
+
+
+def reference_orbit_scan(matrix, word, cap=DEFAULT_CAP, parents=None,
+                         only_commutations=False):
+    """Breadth-first search of the braid-move orbit, stopping at the first
+    word with an equal adjacent pair: ``(seen, (word, pos))``, or
+    ``(seen, None)`` once the orbit is exhausted.  ``parents`` collects
+    ``word -> (previous word, BraidStep)`` at first discovery."""
+    if parents is None:
+        parents = {}
+    p = _first_repeat(word)
+    if p is not None:
+        return {word}, (word, p)
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        cur = queue.popleft()
+        for step, nxt in reference_braid_moves(matrix, cur, only_commutations):
+            if nxt in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
+            seen.add(nxt)
+            parents[nxt] = (cur, step)
+            p = _first_repeat(nxt)
+            if p is not None:
+                return seen, (nxt, p)
+            queue.append(nxt)
+    return seen, None
+
+
+def _walk_parents(parents, target):
+    chain = []
+    w = target
+    while w in parents:
+        w, step = parents[w]
+        chain.append(step)
+    chain.reverse()
+    return chain
+
+
+def reference_reduce_word_with_path(matrix, word, cap=DEFAULT_CAP):
+    """``(element, steps)``: braid into a repeat and cancel it, until none is
+    left, then braid into the canonical word."""
+    cur = matrix.word(word)
+    steps = []
+    while True:
+        parents = {}
+        _, repeat = reference_orbit_scan(matrix, cur, cap, parents)
+        if repeat is None:
+            canon = canonical_word(matrix, cur)
+            steps.extend(_walk_parents(parents, canon))
+            return Element(matrix, canon), steps
+        sigma, p = repeat
+        steps.extend(_walk_parents(parents, sigma))
+        steps.append(CancelStep(p))
+        cur = sigma[:p] + sigma[p + 2 :]
+
+
+def reference_braid_word_path(matrix, source, target, cap=DEFAULT_CAP):
+    """A shortest braid-move path from ``source`` to ``target``, the first
+    one breadth-first search discovers."""
+    if source == target:
+        return []
+    parents = {}
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        for step, nxt in reference_braid_moves(matrix, cur):
+            if nxt in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
+            seen.add(nxt)
+            parents[nxt] = (cur, step)
+            if nxt == target:
+                return _walk_parents(parents, target)
+            queue.append(nxt)
+    raise ValueError("not braid-related")

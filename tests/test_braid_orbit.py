@@ -1,0 +1,82 @@
+"""The braid-orbit search against the reference path engines it replaced.
+
+Braid classes, commutation classes, reduction paths and braid-move paths all
+come from one breadth-first search.  Certificates print these paths, so they
+must match the reference engines in ``helpers`` move for move, and the node
+cap must refuse at exactly the same count.
+"""
+
+import pytest
+
+import helpers
+from coxkit import (
+    CoxeterMatrix,
+    braid_class,
+    braid_word_path,
+    commutation_class,
+    reduce_word_with_path,
+)
+from coxkit.errors import CapExceeded, NotReduced
+
+SYSTEMS = {
+    "A3": helpers.A3,
+    "B3": helpers.B3,
+    "H3": helpers.H3,
+    "A2~": helpers.A2T,
+    "G2~": helpers.G2T,
+    "(2,3,7)": helpers.T237,
+    "U3": helpers.U3,
+}
+
+
+@pytest.mark.parametrize("matrix", SYSTEMS.values(), ids=SYSTEMS.keys())
+def test_searches_match_reference_on_short_words(matrix):
+    for word in helpers.all_words(matrix, 6):
+        element, steps = reduce_word_with_path(matrix, word)
+        assert (element, steps) == helpers.reference_reduce_word_with_path(matrix, word)
+        orbit, repeat = helpers.reference_orbit_scan(matrix, word)
+        if repeat is not None:
+            with pytest.raises(NotReduced):
+                braid_class(matrix, word)
+            continue
+        cls = braid_class(matrix, word)
+        assert cls == orbit
+        commuting, _ = helpers.reference_orbit_scan(matrix, word, only_commutations=True)
+        assert commutation_class(matrix, word) == commuting
+        for target in (min(cls), max(cls)):
+            assert braid_word_path(matrix, word, target) == (
+                helpers.reference_braid_word_path(matrix, word, target))
+
+
+def _refuses(search, cap):
+    try:
+        search(cap)
+    except CapExceeded:
+        return True
+    return False
+
+
+def test_cap_refuses_at_the_reference_count():
+    # the longest element of A3 has 16 reduced words
+    w0 = helpers.A3.word("s1 s2 s1 s3 s2 s1")
+    assert len(braid_class(helpers.A3, w0)) == 16
+    top = max(braid_class(helpers.A3, w0))
+
+    def fresh():
+        # a new system, so no memo answers before the search runs
+        return CoxeterMatrix(helpers.A3.names, helpers.A3.table)
+
+    pairs = [
+        (lambda cap: braid_class(fresh(), w0, cap),
+         lambda cap: helpers.reference_orbit_scan(fresh(), w0, cap)),
+        (lambda cap: commutation_class(fresh(), w0, cap),
+         lambda cap: helpers.reference_orbit_scan(fresh(), w0, cap, only_commutations=True)),
+        (lambda cap: braid_word_path(fresh(), w0, top, cap),
+         lambda cap: helpers.reference_braid_word_path(fresh(), w0, top, cap)),
+        (lambda cap: reduce_word_with_path(fresh(), w0 + w0[-1:], cap),
+         lambda cap: helpers.reference_reduce_word_with_path(fresh(), w0 + w0[-1:], cap)),
+    ]
+    for engine, reference in pairs:
+        for cap in range(1, 18):
+            assert _refuses(engine, cap) == _refuses(reference, cap), cap
+    assert _refuses(pairs[0][0], 15) and not _refuses(pairs[0][0], 16)

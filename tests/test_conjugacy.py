@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from coxkit import (
@@ -7,6 +8,7 @@ from coxkit import (
     TriState,
     are_conjugate,
     conjugacy_class_bruteforce,
+    conjugate,
     cyclic_reduce,
     elementary_related,
     enumerate_elements,
@@ -24,7 +26,7 @@ from coxkit import (
     spherical_subsets,
 )
 from coxkit.conjugacy import MoveCertificate
-from coxkit.core import RotateStep
+from coxkit.core import BraidStep, RotateStep
 from coxkit.errors import ReplayError
 
 
@@ -160,6 +162,16 @@ class TestCertificates:
         cert = MoveCertificate(word, (RotateStep(1, word),), word)
         with pytest.raises(ReplayError):
             cert.replay(a2t)
+
+    def test_replay_rejects_braid_moves_that_are_no_moves(self, a2t):
+        word = a2t.word("stu")
+        # a pair of equal generators would leave the word unchanged
+        cert = MoveCertificate(word, (parse_step(a2t, "braid pos=1 pair=t,t"),), word)
+        with pytest.raises(ReplayError):
+            cert.replay(a2t)
+        for pair in ((0, 3), (3, 0), (-1, 0), (0, -3)):
+            with pytest.raises(ReplayError):
+                MoveCertificate(word, (BraidStep(0, pair),), word).replay(a2t)
 
     def test_format_parse_round_trip(self, a2, b3):
         _, cert = cyclic_reduce(a2.element("sts"))
@@ -333,3 +345,25 @@ class TestMinimality:
                 assert truly_minimal
             elif verdict is TriState.NO:
                 assert not truly_minimal
+
+
+FUZZ_SYSTEMS = (helpers.A2T, helpers.B2T, helpers.G2T, helpers.T237, helpers.U3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    matrix=st.sampled_from(FUZZ_SYSTEMS),
+    u_letters=st.lists(st.integers(0, 2), max_size=7),
+    v_letters=st.lists(st.integers(0, 2), max_size=4),
+)
+def test_conjugates_are_never_refuted(matrix, u_letters, v_letters):
+    # v u v^-1 is conjugate to u: NOT_CONJUGATE would be unsound, and every
+    # certificate must replay from its input to the meeting element
+    u = reduce_word(matrix, u_letters)
+    w = conjugate(reduce_word(matrix, v_letters), u)
+    verdict = are_conjugate(u, w)
+    assert verdict.status is not ConjugacyStatus.NOT_CONJUGATE
+    if verdict.certificates is not None:
+        for cert, start in zip(verdict.certificates, (u, w)):
+            assert cert.start == start.word
+            assert cert.replay(matrix) == verdict.meeting.word

@@ -27,11 +27,8 @@ from coxkit.roots import NEG, NONMIN, Field, minimal_root_table
 
 INF = helpers.INF
 
-H3 = CoxeterMatrix.from_pairs("abc", {("a", "b"): 5, ("b", "c"): 3})
+H3, B2T, G2T, T237 = helpers.H3, helpers.B2T, helpers.G2T, helpers.T237
 I2_5 = CoxeterMatrix.from_pairs("ab", {("a", "b"): 5})
-B2T = CoxeterMatrix.from_pairs("stu", {("s", "t"): 4, ("t", "u"): 4})
-G2T = CoxeterMatrix.from_pairs("stu", {("s", "t"): 6, ("t", "u"): 3})
-T237 = CoxeterMatrix.from_pairs("stu", {("t", "u"): 3, ("s", "u"): 7})
 A3T = CoxeterMatrix.from_pairs(
     "abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("a", "d"): 3}
 )
