@@ -25,7 +25,7 @@ import json
 import re
 import sys
 
-from . import conjugacy, oracle, parabolic, straight
+from . import conjugacy, core, oracle, parabolic, straight
 from .core import DEFAULT_CAP, INFINITY, CoxeterMatrix
 from .errors import (
     CapExceeded,
@@ -119,9 +119,7 @@ class Printer:
     """Collects one command's output; emits text lines or one JSON object."""
 
     def __init__(self, command: str, json_mode: bool, inputs: dict):
-        self.command = command
         self.json_mode = json_mode
-        self.inputs = inputs
         self.lines = []
         self.payload = {
             "command": command,
@@ -132,195 +130,129 @@ class Printer:
             "certificate": None,
         }
 
-    def line(self, text):
-        self.lines.append(str(text))
+    def line(self, *texts):
+        self.lines.extend(str(text) for text in texts)
 
-    def flush(self, stream=None):
-        stream = stream or sys.stdout
+    def result(self, value, *texts):
+        """Set the JSON result and add its text lines."""
+        self.payload["result"] = value
+        self.line(*texts)
+
+    def flush(self):
         if self.json_mode:
-            print(json.dumps(self.payload), file=stream)
+            print(json.dumps(self.payload))
         else:
             for line in self.lines:
-                print(line, file=stream)
+                print(line)
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
+def _names(matrix, members) -> list:
+    return [matrix.names[i] for i in sorted(members)]
 
 
 def _subset_str(matrix, members) -> str:
-    return "{" + ",".join(matrix.names[i] for i in sorted(members)) + "}"
+    return "{" + ",".join(_names(matrix, members)) + "}"
 
 
-def _cert_lines(matrix, cert) -> list:
-    return [conjugacy.format_step(matrix, step) for step in cert.steps]
-
-
-def _word_out(matrix, word) -> str:
-    return matrix.word_str(word)
-
-
-# ---------------------------------------------------------------------------
-# command handlers: each returns an exit code
-
-
-def _join_word(args_word) -> str:
-    return " ".join(args_word)
-
-
-def cmd_reduce(matrix, args, out):
-    e = matrix.element(_join_word(args.word))
-    out.payload["result"] = _word_out(matrix, e.word)
-    out.line(_word_out(matrix, e.word))
-    return EXIT_OK
-
-
-def cmd_length(matrix, args, out):
-    e = matrix.element(_join_word(args.word))
-    out.payload["result"] = e.length
-    out.line(e.length)
-    return EXIT_OK
-
-
-def cmd_is_reduced(matrix, args, out):
-    from .core import is_reduced
-
-    verdict = is_reduced(matrix, _join_word(args.word))
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
-def cmd_mult(matrix, args, out):
-    from .core import multiply
-
-    x = matrix.element(args.left)
-    y = matrix.element(args.right)
-    e = multiply(x, y)
-    out.payload["result"] = _word_out(matrix, e.word)
-    out.line(_word_out(matrix, e.word))
-    return EXIT_OK
-
-
-def cmd_inverse(matrix, args, out):
-    e = matrix.element(_join_word(args.word)).inverse()
-    out.payload["result"] = _word_out(matrix, e.word)
-    out.line(_word_out(matrix, e.word))
-    return EXIT_OK
-
-
-def cmd_power(matrix, args, out):
-    from .core import power
-
-    e = power(matrix.element(args.word), args.n)
-    out.payload["result"] = _word_out(matrix, e.word)
-    out.line(_word_out(matrix, e.word))
-    return EXIT_OK
-
-
-def cmd_support(matrix, args, out):
-    from .core import support
-
-    members = support(matrix.element(_join_word(args.word)))
-    out.payload["result"] = [matrix.names[i] for i in sorted(members)]
-    out.line(_subset_str(matrix, members))
-    return EXIT_OK
-
-
-def cmd_descents(matrix, args, out):
-    from .core import left_descents, right_descents
-
-    e = matrix.element(_join_word(args.word))
-    left = left_descents(e)
-    right = right_descents(e)
-    out.payload["result"] = {
-        "left": [matrix.names[i] for i in sorted(left)],
-        "right": [matrix.names[i] for i in sorted(right)],
-    }
-    out.line(f"left: {_subset_str(matrix, left)}")
-    out.line(f"right: {_subset_str(matrix, right)}")
-    return EXIT_OK
+def _components_str(matrix, components) -> str:
+    return " ".join(_subset_str(matrix, c) for c in components) if components else "{}"
 
 
 def _subset_from_args(matrix, tokens) -> frozenset:
     return frozenset(matrix.index(token) for token in tokens)
 
 
-def cmd_is_spherical(matrix, args, out):
-    verdict = parabolic.is_spherical(matrix, _subset_from_args(matrix, args.subset))
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
+def _cert_lines(matrix, cert) -> list:
+    return [conjugacy.format_step(matrix, step) for step in cert.steps]
+
+
+# ---------------------------------------------------------------------------
+# command handlers: each returns an exit code.  The three shared handlers print
+# what the command's table entry computes: a verdict, a word or a word list.
+
+
+def cmd_verdict(matrix, args, out):
+    verdict = args.compute(matrix, args)
+    out.result(verdict, str(verdict).lower())
+    return EXIT_OK
+
+
+def cmd_word(matrix, args, out):
+    word = matrix.word_str(args.compute(matrix, args).word)
+    out.result(word, word)
+    return EXIT_OK
+
+
+def cmd_words(matrix, args, out):
+    words = [matrix.word_str(e.word) for e in args.compute(matrix, args)]
+    out.result(words, *words)
+    return EXIT_OK
+
+
+def cmd_length(matrix, args, out):
+    length = matrix.element(args.word).length
+    out.result(length, length)
+    return EXIT_OK
+
+
+def cmd_support(matrix, args, out):
+    members = core.support(matrix.element(args.word))
+    out.result(_names(matrix, members), _subset_str(matrix, members))
+    return EXIT_OK
+
+
+def cmd_descents(matrix, args, out):
+    e = matrix.element(args.word)
+    left, right = core.left_descents(e), core.right_descents(e)
+    out.result(
+        {"left": _names(matrix, left), "right": _names(matrix, right)},
+        f"left: {_subset_str(matrix, left)}",
+        f"right: {_subset_str(matrix, right)}",
+    )
     return EXIT_OK
 
 
 def cmd_components(matrix, args, out):
     comps = parabolic.diagram_components(matrix, _subset_from_args(matrix, args.subset))
-    out.payload["result"] = [[matrix.names[i] for i in sorted(c)] for c in comps]
-    out.line(" ".join(_subset_str(matrix, c) for c in comps) if comps else "{}")
+    out.result([_names(matrix, c) for c in comps], _components_str(matrix, comps))
     return EXIT_OK
 
 
 def cmd_closure(matrix, args, out):
-    sub = parabolic.standard_parabolic_closure(matrix.element(_join_word(args.word)))
-    out.payload["result"] = {
-        "members": [matrix.names[i] for i in sorted(sub.members)],
-        "components": [[matrix.names[i] for i in sorted(c)] for c in sub.components],
-        "spherical": sub.spherical,
-    }
-    out.line(_subset_str(matrix, sub.members))
-    out.line(
-        "components: "
-        + (" ".join(_subset_str(matrix, c) for c in sub.components) if sub.components else "{}")
+    sub = parabolic.standard_parabolic_closure(matrix.element(args.word))
+    out.result(
+        {
+            "members": _names(matrix, sub.members),
+            "components": [_names(matrix, c) for c in sub.components],
+            "spherical": sub.spherical,
+        },
+        _subset_str(matrix, sub.members),
+        f"components: {_components_str(matrix, sub.components)}",
+        f"spherical: {str(sub.spherical).lower()}",
     )
-    out.line(f"spherical: {_bool_str(sub.spherical)}")
-    return EXIT_OK
-
-
-def cmd_is_cyclically_reduced(matrix, args, out):
-    verdict = conjugacy.is_cyclically_reduced(
-        matrix.element(_join_word(args.word)), args.cap
-    )
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
     return EXIT_OK
 
 
 def cmd_cyclic_reduce(matrix, args, out):
-    target, cert = conjugacy.cyclic_reduce(
-        matrix.element(_join_word(args.word)), args.cap
-    )
-    out.payload["result"] = _word_out(matrix, target.word)
-    out.payload["certificate"] = _cert_lines(matrix, cert)
-    out.line(_word_out(matrix, target.word))
-    out.line("certificate:")
-    for line in _cert_lines(matrix, cert):
-        out.line(line)
+    target, cert = conjugacy.cyclic_reduce(matrix.element(args.word), args.cap)
+    word = matrix.word_str(target.word)
+    lines = _cert_lines(matrix, cert)
+    out.result(word, word, "certificate:", *lines)
+    out.payload["certificate"] = lines
     return EXIT_OK
 
 
 def cmd_kappa_class(matrix, args, out):
-    closure = conjugacy.kappa_closure(
-        matrix.element(_join_word(args.word)), args.cap
+    closure = conjugacy.kappa_closure(matrix.element(args.word), args.cap)
+    words = [matrix.word_str(v.word) for v in closure.nodes]
+    out.result(
+        {
+            "nodes": words,
+            "min_length": closure.min_length,
+            "length_preserved": closure.length_preserved,
+        },
+        *words,
     )
-    words = [_word_out(matrix, v.word) for v in closure.nodes]
-    out.payload["result"] = {
-        "nodes": words,
-        "min_length": closure.min_length,
-        "length_preserved": closure.length_preserved,
-    }
-    for word in words:
-        out.line(word)
-    return EXIT_OK
-
-
-def cmd_min_stratum(matrix, args, out):
-    closure = conjugacy.kappa_closure(
-        matrix.element(_join_word(args.word)), args.cap
-    )
-    words = [_word_out(matrix, v.word) for v in closure.min_stratum]
-    out.payload["result"] = words
-    for word in words:
-        out.line(word)
     return EXIT_OK
 
 
@@ -332,176 +264,162 @@ def cmd_is_conjugate(matrix, args, out):
         brute_force=args.brute,
         brute_len_cap=args.brute_len,
     )
-    out.payload["result"] = verdict.status.value
-    out.line(verdict.status.value)
+    out.result(verdict.status.value, verdict.status.value)
     if verdict.basis is not None:
         out.payload["basis"] = verdict.basis.value
         out.line(f"basis: {verdict.basis.value}")
     if verdict.conjugator is not None:
-        out.payload["witness"] = {"conjugator": _word_out(matrix, verdict.conjugator.word)}
-        out.line(f"conjugator: {_word_out(matrix, verdict.conjugator.word)}")
+        conjugator = matrix.word_str(verdict.conjugator.word)
+        out.payload["witness"] = {"conjugator": conjugator}
+        out.line(f"conjugator: {conjugator}")
     if verdict.certificates is not None:
-        first, second = verdict.certificates
-        out.payload["witness"] = {"meeting": _word_out(matrix, verdict.meeting.word)}
-        out.payload["certificate"] = {
-            "from_first": _cert_lines(matrix, first),
-            "from_second": _cert_lines(matrix, second),
-        }
-        out.line(f"meeting: {_word_out(matrix, verdict.meeting.word)}")
-        out.line("certificate[1]:")
-        for line in _cert_lines(matrix, first):
-            out.line(line)
-        out.line("certificate[2]:")
-        for line in _cert_lines(matrix, second):
-            out.line(line)
+        first, second = (_cert_lines(matrix, cert) for cert in verdict.certificates)
+        meeting = matrix.word_str(verdict.meeting.word)
+        out.payload["witness"] = {"meeting": meeting}
+        out.payload["certificate"] = {"from_first": first, "from_second": second}
+        out.line(f"meeting: {meeting}", "certificate[1]:", *first, "certificate[2]:", *second)
     return EXIT_UNKNOWN if verdict.status is conjugacy.ConjugacyStatus.UNKNOWN else EXIT_OK
 
 
-def cmd_is_finite_order(matrix, args, out):
-    verdict = conjugacy.is_finite_order(
-        matrix.element(_join_word(args.word)), args.cap
-    )
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
-def cmd_cent_prime(matrix, args, out):
-    verdict = conjugacy.has_cent_prime(
-        matrix.element(_join_word(args.word)), args.cap
-    )
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
 def cmd_is_torsion_free(matrix, args, out):
-    witness = parabolic.torsion_witness(matrix.element(_join_word(args.word)))
-    verdict = witness is None
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
+    witness = parabolic.torsion_witness(matrix.element(args.word))
+    out.result(witness is None, str(witness is None).lower())
     if witness is not None:
-        out.payload["witness"] = {"subset": [matrix.names[i] for i in sorted(witness)]}
+        out.payload["witness"] = {"subset": _names(matrix, witness)}
         out.line(f"witness: I={_subset_str(matrix, witness)}")
     return EXIT_OK
 
 
 def cmd_normaliser_decompose(matrix, args, out):
     decomposition = parabolic.normaliser_decomposition(
-        matrix.element(args.word),
-        _subset_from_args(matrix, args.subset),
+        matrix.element(args.word), _subset_from_args(matrix, args.subset)
     )
-    torsion = _word_out(matrix, decomposition.torsion_part.word)
-    complement = _word_out(matrix, decomposition.straight_part.word)
-    out.payload["result"] = {"torsion_part": torsion, "straight_part": complement}
-    out.line(f"torsion_part={torsion} straight_part={complement}")
+    torsion = matrix.word_str(decomposition.torsion_part.word)
+    complement = matrix.word_str(decomposition.straight_part.word)
+    out.result(
+        {"torsion_part": torsion, "straight_part": complement},
+        f"torsion_part={torsion} straight_part={complement}",
+    )
     return EXIT_OK
 
 
 def cmd_is_straight(matrix, args, out):
-    verdict = straight.is_straight(
-        matrix.element(_join_word(args.word)), args.cap
-    )
-    out.payload["result"] = verdict.straight
-    out.line(_bool_str(verdict.straight))
+    verdict = straight.is_straight(matrix.element(args.word), args.cap)
+    out.result(verdict.straight, str(verdict.straight).lower())
     witness = verdict.witness
+    if witness is None:
+        return EXIT_OK
+    element = matrix.word_str(witness.element.word)
     if isinstance(witness, straight.ShorterConjugate):
-        out.payload["witness"] = {
-            "kind": "shorter-conjugate",
-            "element": _word_out(matrix, witness.element.word),
-        }
-        out.payload["certificate"] = _cert_lines(matrix, witness.certificate)
-        out.line(f"witness: shorter conjugate {_word_out(matrix, witness.element.word)}")
-        out.line("certificate:")
-        for line in _cert_lines(matrix, witness.certificate):
-            out.line(line)
-    elif isinstance(witness, straight.NonTorsionFreeMember):
+        lines = _cert_lines(matrix, witness.certificate)
+        out.payload["witness"] = {"kind": "shorter-conjugate", "element": element}
+        out.payload["certificate"] = lines
+        out.line(f"witness: shorter conjugate {element}", "certificate:", *lines)
+    else:
         out.payload["witness"] = {
             "kind": "non-torsion-free-member",
-            "element": _word_out(matrix, witness.element.word),
-            "subset": [matrix.names[i] for i in sorted(witness.subset.members)],
+            "element": element,
+            "subset": _names(matrix, witness.subset.members),
         }
-        out.line(
-            "witness: non-torsion-free member "
-            f"{_word_out(matrix, witness.element.word)} I={witness.subset}"
-        )
+        out.line(f"witness: non-torsion-free member {element} I={witness.subset}")
     return EXIT_OK
 
 
 def cmd_power_profile(matrix, args, out):
-    profile = straight.power_length_profile(matrix.element(args.word), args.n)
-    out.payload["result"] = list(profile)
-    out.line(",".join(str(n) for n in profile))
-    return EXIT_OK
-
-
-def cmd_is_fc(matrix, args, out):
-    verdict = straight.is_fc(matrix.element(_join_word(args.word)), args.cap)
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
-def cmd_is_cfc(matrix, args, out):
-    verdict = straight.is_cfc(matrix.element(_join_word(args.word)), args.cap)
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
-def cmd_cfc_straight(matrix, args, out):
-    verdict = straight.cfc_straight(
-        matrix.element(_join_word(args.word)), args.cap
-    )
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
-def cmd_coxeter_straight(matrix, args, out):
-    verdict = straight.coxeter_straight(matrix)
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
-def cmd_oracle_is_reduced(matrix, args, out):
-    verdict = oracle.is_reduced_oracle(
-        matrix,
-        matrix.word(_join_word(args.word)),
-        tolerance=args.tolerance,
-        length_cap=args.oracle_length_cap,
-    )
-    out.payload["result"] = verdict
-    out.line(_bool_str(verdict))
-    return EXIT_OK
-
-
-def cmd_enumerate(matrix, args, out):
-    elements = oracle.enumerate_elements(matrix, args.max_len, cap=args.cap)
-    words = [_word_out(matrix, e.word) for e in elements]
-    out.payload["result"] = words
-    for word in words:
-        out.line(word)
-    return EXIT_OK
-
-
-def cmd_brute_class(matrix, args, out):
-    elements = oracle.conjugacy_class_bruteforce(
-        matrix.element(args.word), args.len_cap, cap=args.cap
-    )
-    words = [_word_out(matrix, e.word) for e in elements]
-    out.payload["result"] = words
-    for word in words:
-        out.line(word)
+    profile = list(straight.power_length_profile(matrix.element(args.word), args.n))
+    out.result(profile, ",".join(map(str, profile)))
     return EXIT_OK
 
 
 def cmd_brute_order(matrix, args, out):
     order = oracle.order_bruteforce(matrix.element(args.word), args.n_cap)
-    out.payload["result"] = order
-    out.line("absent" if order is None else order)
+    out.result(order, "absent" if order is None else order)
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+# argument lists (WORDS, PAIR) and single arguments (WORD, SUBSET)
+WORDS = [("word", {"nargs": "+", "help": "word (tokens, or contiguous string)"})]
+WORD = ("word", {"help": "word"})
+PAIR = [("left", {"help": "first word"}), ("right", {"help": "second word"})]
+SUBSET = ("subset", {"nargs": "*", "help": "generator tokens"})
+
+
+def _int(name, help_text):
+    return (name, {"type": int, "help": help_text})
+
+
+# name, handler, help, arguments, and for the shared handlers what they print.
+# Handlers are named, not held: build_parser() looks each one up in this module
+# when it runs, so a wrapper installed on the module attribute after import
+# (perfbench/cli_traced.py times handlers that way) is the one that runs.
+COMMANDS = [
+    ("reduce", "cmd_word", "reduce a word to its canonical form", WORDS,
+     lambda m, a: m.element(a.word)),
+    ("canonical", "cmd_word", "canonical (shortlex-least reduced) word", WORDS,
+     lambda m, a: m.element(a.word)),
+    ("length", "cmd_length", "length of the element a word spells", WORDS),
+    ("is-reduced", "cmd_verdict", "decide reducedness of a word", WORDS,
+     lambda m, a: core.is_reduced(m, a.word)),
+    ("inverse", "cmd_word", "canonical word of the inverse", WORDS,
+     lambda m, a: m.element(a.word).inverse()),
+    ("support", "cmd_support", "generators occurring in reduced words", WORDS),
+    ("descents", "cmd_descents", "left and right descent sets", WORDS),
+    ("closure", "cmd_closure", "standard parabolic closure of an element", WORDS),
+    ("is-cyclically-reduced", "cmd_verdict", "decide cyclic reducedness", WORDS,
+     lambda m, a: conjugacy.is_cyclically_reduced(m.element(a.word), a.cap)),
+    ("cyclic-reduce", "cmd_cyclic_reduce",
+     "minimal conjugate under shifts, with certificate", WORDS),
+    ("kappa-class", "cmd_kappa_class", "nodes of the cyclic-shift closure", WORDS),
+    ("min-stratum", "cmd_words", "minimal-length stratum of the closure", WORDS,
+     lambda m, a: conjugacy.kappa_closure(m.element(a.word), a.cap).min_stratum),
+    ("is-finite-order", "cmd_verdict", "decide finiteness of the order", WORDS,
+     lambda m, a: conjugacy.is_finite_order(m.element(a.word), a.cap)),
+    ("cent-prime", "cmd_verdict", "centralising property along the closure", WORDS,
+     lambda m, a: conjugacy.has_cent_prime(m.element(a.word), a.cap)),
+    ("is-torsion-free", "cmd_is_torsion_free",
+     "decide torsion-freeness (witness subset on failure)", WORDS),
+    ("is-straight", "cmd_is_straight", "decide straightness (witness on failure)", WORDS),
+    ("is-fc", "cmd_verdict", "decide full commutativity", WORDS,
+     lambda m, a: straight.is_fc(m.element(a.word), a.cap)),
+    ("is-cfc", "cmd_verdict", "decide cyclic full commutativity", WORDS,
+     lambda m, a: straight.is_cfc(m.element(a.word), a.cap)),
+    ("cfc-straight", "cmd_verdict", "straightness shortcut for CFC elements", WORDS,
+     lambda m, a: straight.cfc_straight(m.element(a.word), a.cap)),
+    ("oracle-is-reduced", "cmd_verdict", "reducedness via the geometric representation",
+     WORDS, lambda m, a: oracle.is_reduced_oracle(
+         m, a.word, tolerance=a.tolerance, length_cap=a.oracle_length_cap)),
+    ("mult", "cmd_word", "product of two elements", PAIR,
+     lambda m, a: core.multiply(m.element(a.left), m.element(a.right))),
+    ("power", "cmd_word", "n-th power of an element",
+     [WORD, _int("n", "exponent (may be negative)")],
+     lambda m, a: core.power(m.element(a.word), a.n)),
+    ("is-spherical", "cmd_verdict", "finiteness of a standard parabolic", [SUBSET],
+     lambda m, a: parabolic.is_spherical(m, _subset_from_args(m, a.subset))),
+    ("components", "cmd_components", "diagram components of a subset", [SUBSET]),
+    ("is-conjugate", "cmd_is_conjugate", "conjugacy verdict with basis and certificates",
+     PAIR + [("--brute", {"action": "store_true",
+                          "help": "enable the brute-force fallback"}),
+             ("--brute-len", {"type": int, "default": 16, "metavar": "N",
+                              "help": "conjugator length cap for the fallback"})]),
+    ("normaliser-decompose", "cmd_normaliser_decompose",
+     "split w = w_I * n_I over a spherical subset", [WORD, SUBSET]),
+    ("power-profile", "cmd_power_profile", "lengths of w^1..w^N",
+     [WORD, _int("n", "largest exponent")]),
+    ("coxeter-straight", "cmd_verdict",
+     "whether Coxeter elements of this system are straight", [],
+     lambda m, a: straight.coxeter_straight(m)),
+    ("enumerate", "cmd_words", "elements up to a length", [_int("max_len", "maximum length")],
+     lambda m, a: oracle.enumerate_elements(m, a.max_len, cap=a.cap)),
+    ("brute-class", "cmd_words", "brute-force conjugacy class",
+     [WORD, _int("len_cap", "conjugator length cap")],
+     lambda m, a: oracle.conjugacy_class_bruteforce(m.element(a.word), a.len_cap, cap=a.cap)),
+    ("brute-order", "cmd_brute_order", "brute-force order search",
+     [WORD, _int("n_cap", "largest exponent tried")]),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -536,90 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coxkit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name, handler, help_text, **kwargs):
+    for name, handler, help_text, arguments, *compute in COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    def word_arg(p, nargs="+"):
-        p.add_argument("word", nargs=nargs, help="word (tokens, or contiguous string)")
-
-    for name, handler, help_text in [
-        ("reduce", cmd_reduce, "reduce a word to its canonical form"),
-        ("canonical", cmd_reduce, "canonical (shortlex-least reduced) word"),
-        ("length", cmd_length, "length of the element a word spells"),
-        ("is-reduced", cmd_is_reduced, "decide reducedness of a word"),
-        ("inverse", cmd_inverse, "canonical word of the inverse"),
-        ("support", cmd_support, "generators occurring in reduced words"),
-        ("descents", cmd_descents, "left and right descent sets"),
-        ("closure", cmd_closure, "standard parabolic closure of an element"),
-        ("is-cyclically-reduced", cmd_is_cyclically_reduced,
-         "decide cyclic reducedness"),
-        ("cyclic-reduce", cmd_cyclic_reduce,
-         "minimal conjugate under shifts, with certificate"),
-        ("kappa-class", cmd_kappa_class, "nodes of the cyclic-shift closure"),
-        ("min-stratum", cmd_min_stratum, "minimal-length stratum of the closure"),
-        ("is-finite-order", cmd_is_finite_order, "decide finiteness of the order"),
-        ("cent-prime", cmd_cent_prime, "centralising property along the closure"),
-        ("is-torsion-free", cmd_is_torsion_free,
-         "decide torsion-freeness (witness subset on failure)"),
-        ("is-straight", cmd_is_straight, "decide straightness (witness on failure)"),
-        ("is-fc", cmd_is_fc, "decide full commutativity"),
-        ("is-cfc", cmd_is_cfc, "decide cyclic full commutativity"),
-        ("cfc-straight", cmd_cfc_straight, "straightness shortcut for CFC elements"),
-        ("oracle-is-reduced", cmd_oracle_is_reduced,
-         "reducedness via the geometric representation"),
-    ]:
-        p = add(name, handler, help_text)
-        word_arg(p)
-
-    p = add("mult", cmd_mult, "product of two elements")
-    p.add_argument("left", help="first word")
-    p.add_argument("right", help="second word")
-
-    p = add("power", cmd_power, "n-th power of an element")
-    p.add_argument("word", help="word")
-    p.add_argument("n", type=int, help="exponent (may be negative)")
-
-    p = add("is-spherical", cmd_is_spherical, "finiteness of a standard parabolic")
-    p.add_argument("subset", nargs="*", help="generator tokens")
-
-    p = add("components", cmd_components, "diagram components of a subset")
-    p.add_argument("subset", nargs="*", help="generator tokens")
-
-    p = add("is-conjugate", cmd_is_conjugate,
-            "conjugacy verdict with basis and certificates")
-    p.add_argument("left", help="first word")
-    p.add_argument("right", help="second word")
-    p.add_argument("--brute", action="store_true",
-                   help="enable the brute-force fallback")
-    p.add_argument("--brute-len", type=int, default=16, metavar="N",
-                   help="conjugator length cap for the fallback")
-
-    p = add("normaliser-decompose", cmd_normaliser_decompose,
-            "split w = w_I * n_I over a spherical subset")
-    p.add_argument("word", help="word")
-    p.add_argument("subset", nargs="*", help="generator tokens")
-
-    p = add("power-profile", cmd_power_profile, "lengths of w^1..w^N")
-    p.add_argument("word", help="word")
-    p.add_argument("n", type=int, help="largest exponent")
-
-    add("coxeter-straight", cmd_coxeter_straight,
-        "whether Coxeter elements of this system are straight")
-
-    p = add("enumerate", cmd_enumerate, "elements up to a length")
-    p.add_argument("max_len", type=int, help="maximum length")
-
-    p = add("brute-class", cmd_brute_class, "brute-force conjugacy class")
-    p.add_argument("word", help="word")
-    p.add_argument("len_cap", type=int, help="conjugator length cap")
-
-    p = add("brute-order", cmd_brute_order, "brute-force order search")
-    p.add_argument("word", help="word")
-    p.add_argument("n_cap", type=int, help="largest exponent tried")
-
+        p.set_defaults(handler=globals()[handler], compute=compute[0] if compute else None)
+        for dest, options in arguments:
+            p.add_argument(dest, **options)
     return parser
 
 
@@ -634,6 +473,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         # --help and friends
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if isinstance(getattr(args, "word", None), list):
+        args.word = " ".join(args.word)
 
     try:
         matrix = parse_system_file(args.matrix)
@@ -647,23 +488,14 @@ def run(argv) -> int:
     except NumericallyAmbiguous as exc:
         print(f"coxkit: numerically ambiguous: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except CoxeterError as exc:
-        print(f"coxkit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CoxeterError, ValueError) as exc:
         print(f"coxkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def _inputs_of(args) -> dict:
-    inputs = {"matrix": args.matrix}
-    for key in ("word", "left", "right", "subset", "n", "max_len", "len_cap", "n_cap"):
-        if hasattr(args, key):
-            value = getattr(args, key)
-            if isinstance(value, list):
-                value = " ".join(value) if key == "word" else value
-            inputs[key] = value
-    return inputs
+    keys = ("matrix", "word", "left", "right", "subset", "n", "max_len", "len_cap", "n_cap")
+    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
 
 
 def main():

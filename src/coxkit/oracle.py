@@ -40,8 +40,8 @@ class GeometricRep:
     """Per-generator linear maps on the root space, with a sign tolerance."""
 
     def __init__(self, matrix: CoxeterMatrix, tolerance: float = DEFAULT_TOLERANCE):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
         n = matrix.rank
         form = np.empty((n, n), dtype=np.float64)
         for i in range(n):

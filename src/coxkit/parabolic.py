@@ -286,19 +286,9 @@ def standard_parabolic_closure(w: Element) -> GeneratorSubset:
     return generator_subset(w.system, support(w))
 
 
-def only_infinite_irreducible_components(matrix_or_subset,
-                                         subset: Optional[Members] = None) -> bool:
-    """True iff the subset is empty or no component matches a finite type.
-
-    Accepts either a GeneratorSubset or (matrix, members).
-    """
-    if isinstance(matrix_or_subset, GeneratorSubset):
-        sub = matrix_or_subset
-        matrix, members = sub.system, sub.members
-    else:
-        matrix = matrix_or_subset
-        members = _members(matrix, subset if subset is not None else ())
+def only_infinite_irreducible_components(matrix: CoxeterMatrix, subset: Members) -> bool:
+    """True iff the subset is empty or no component matches a finite type."""
     return all(
         not _component_is_finite_type(matrix, comp)
-        for comp in diagram_components(matrix, members)
+        for comp in diagram_components(matrix, subset)
     )

@@ -167,9 +167,7 @@ def cfc_straight(w: Element, cap: int = DEFAULT_CAP) -> bool:
     only infinite irreducible components."""
     if not is_cfc(w, cap):
         raise NotCFC(f"element {w} is not cyclically fully commutative")
-    return parabolic.only_infinite_irreducible_components(
-        parabolic.standard_parabolic_closure(w)
-    )
+    return parabolic.only_infinite_irreducible_components(w.system, support(w))
 
 
 def is_coxeter_element(w: Element) -> bool:

@@ -13,6 +13,7 @@ from coxkit import (
     reduce_word,
     whole_group,
 )
+from coxkit.cli import EXIT_USAGE, run
 from coxkit.errors import CapExceeded
 
 
@@ -42,6 +43,21 @@ class TestIsReducedOracle:
 
     def test_empty_word(self, a2t):
         assert is_reduced_oracle(a2t, b"")
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, a2t, tolerance):
+        cached = dict(a2t._scratch.get("georep", {}))
+        with pytest.raises(ValueError, match="tolerance"):
+            is_reduced_oracle(a2t, a2t.word("st"), tolerance=tolerance)
+        assert a2t._scratch.get("georep", {}) == cached
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_cli_refuses_bad_tolerance_as_usage_error(self, tmp_path, capsys, tolerance):
+        path = tmp_path / "a2tilde.cox"
+        path.write_text("generators: s t u\nm: s t 3\nm: t u 3\nm: s u 3\n")
+        argv = ["oracle-is-reduced", "--matrix", str(path), f"--tolerance={tolerance}", "st"]
+        assert run(argv) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
 
     def test_length_cap_enforced(self, a2t):
         with pytest.raises(CapExceeded):

@@ -178,7 +178,7 @@ class TestCfcStraight:
             cfc_straight(u3.element("aba"))
         # the support condition itself would have been true: one infinite component
         assert only_infinite_irreducible_components(
-            standard_parabolic_closure(u3.element("aba"))
+            u3, standard_parabolic_closure(u3.element("aba"))
         )
 
     def test_agrees_with_exact_decision(self, a2t, dinf):
