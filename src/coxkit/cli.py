@@ -348,8 +348,19 @@ PAIR = [("left", {"help": "first word"}), ("right", {"help": "second word"})]
 SUBSET = ("subset", {"nargs": "*", "help": "generator tokens"})
 
 
-def _int(name, help_text):
-    return (name, {"type": int, "help": help_text})
+def _count(text: str) -> int:
+    """argparse type of a bound or cap: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _int(name, help_text, kind=int):
+    return (name, {"type": kind, "help": help_text})
 
 
 # name, handler, help, arguments, and for the shared handlers what they print.
@@ -403,7 +414,7 @@ COMMANDS = [
     ("is-conjugate", "cmd_is_conjugate", "conjugacy verdict with basis and certificates",
      PAIR + [("--brute", {"action": "store_true",
                           "help": "enable the brute-force fallback"}),
-             ("--brute-len", {"type": int, "default": 16, "metavar": "N",
+             ("--brute-len", {"type": _count, "default": 16, "metavar": "N",
                               "help": "conjugator length cap for the fallback"})]),
     ("normaliser-decompose", "cmd_normaliser_decompose",
      "split w = w_I * n_I over a spherical subset", [WORD, SUBSET]),
@@ -412,13 +423,14 @@ COMMANDS = [
     ("coxeter-straight", "cmd_verdict",
      "whether Coxeter elements of this system are straight", [],
      lambda m, a: straight.coxeter_straight(m)),
-    ("enumerate", "cmd_words", "elements up to a length", [_int("max_len", "maximum length")],
+    ("enumerate", "cmd_words", "elements up to a length",
+     [_int("max_len", "maximum length", _count)],
      lambda m, a: oracle.enumerate_elements(m, a.max_len, cap=a.cap)),
     ("brute-class", "cmd_words", "brute-force conjugacy class",
-     [WORD, _int("len_cap", "conjugator length cap")],
+     [WORD, _int("len_cap", "conjugator length cap", _count)],
      lambda m, a: oracle.conjugacy_class_bruteforce(m.element(a.word), a.len_cap, cap=a.cap)),
     ("brute-order", "cmd_brute_order", "brute-force order search",
-     [WORD, _int("n_cap", "largest exponent tried")]),
+     [WORD, _int("n_cap", "largest exponent tried", _count)]),
 ]
 
 
@@ -443,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="system definition file")
     common.add_argument("--json", action="store_true",
                         help="print one JSON result object per line")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N",
+    common.add_argument("--cap", type=_count, default=DEFAULT_CAP, metavar="N",
                         help="closure node cap (default %(default)s)")
     common.add_argument("--tolerance", type=float, default=oracle.DEFAULT_TOLERANCE,
                         metavar="X", help="oracle sign tolerance")
-    common.add_argument("--oracle-length-cap", type=int,
+    common.add_argument("--oracle-length-cap", type=_count,
                         default=oracle.DEFAULT_ORACLE_LENGTH_CAP, metavar="N",
                         help="oracle word-length cap")
 

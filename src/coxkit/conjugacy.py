@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Optional
 
 from .core import (
@@ -122,16 +123,23 @@ def parse_step(matrix: CoxeterMatrix, line: str) -> Step:
 def _elementary_edges(u: Element, cap: int = DEFAULT_CAP) -> tuple:
     """Outgoing moves of one element: (reduced word, rotation amount, target).
 
-    Deterministic order: reduced words shortlex, then rotation amount.
+    Deterministic order: reduced words shortlex, then rotation amount.  The
+    rotation of rho by k spells x^-1 u x with x = rho[:k], so its target
+    depends on the prefix alone: reduced words sharing a prefix share the
+    reduction, and each distinct prefix is reduced once.
     """
     cache = u.system._scratch.setdefault("elementary_edges", {})
     hit = cache.get(u.word)
     if hit is None:
         out = []
+        by_prefix = {}
         for rho in sorted(braid_class(u.system, u.word, cap)):
             for k in range(1, len(rho) + 1):
-                rotated = rho[k:] + rho[:k]
-                out.append((rho, k, reduce_word(u.system, rotated)))
+                prefix = rho[:k]
+                target = by_prefix.get(prefix)
+                if target is None:
+                    target = by_prefix[prefix] = reduce_word(u.system, rho[k:] + prefix)
+                out.append((rho, k, target))
         hit = tuple(out)
         cache[u.word] = hit
     return hit
@@ -147,23 +155,36 @@ def elementary_related(u: Element, cap: int = DEFAULT_CAP) -> frozenset:
 def _closure_search(u: Element, cap: int = DEFAULT_CAP):
     """Transitive closure under elementary moves, with discovery back-pointers.
 
-    Returns (nodes, parents) where parents[v] = (previous, rho, k) describes
-    the first discovered move reaching v.
+    Returns (nodes, parents): a frozenset, and a read-only mapping where
+    parents[v] = (previous, rho, k) describes the first discovered move
+    reaching v.  Both are memoised per system under the start word; a memo
+    hit refuses exactly when the search would have, so the cap behaves as on
+    a fresh system.
     """
-    nodes = {u}
-    parents = {}
-    queue = deque([u])
-    while queue:
-        cur = queue.popleft()
-        for rho, k, target in _elementary_edges(cur, cap):
-            if target in nodes:
-                continue
-            if len(nodes) >= cap:
-                raise CapExceeded(f"cyclic-shift closure exceeded the node cap of {cap}")
-            nodes.add(target)
-            parents[target] = (cur, rho, k)
-            queue.append(target)
-    return nodes, parents
+    cache = u.system._scratch.setdefault("closure", {})
+    hit = cache.get(u.word)
+    if hit is None:
+        nodes = {u}
+        parents = {}
+        queue = deque([u])
+        while queue:
+            cur = queue.popleft()
+            for rho, k, target in _elementary_edges(cur, cap):
+                if target in nodes:
+                    continue
+                if len(nodes) >= cap:
+                    raise _closure_cap(cap)
+                nodes.add(target)
+                parents[target] = (cur, rho, k)
+                queue.append(target)
+        hit = cache[u.word] = (frozenset(nodes), MappingProxyType(parents))
+    elif len(hit[0]) > cap:
+        raise _closure_cap(cap)
+    return hit
+
+
+def _closure_cap(cap: int) -> CapExceeded:
+    return CapExceeded(f"cyclic-shift closure exceeded the node cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -302,20 +323,34 @@ def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
     return hit
 
 
-def _normalises_conjugated(w: Element, gens: tuple, w_i: Element, j_set: frozenset) -> bool:
-    # x lies in w_I W_J w_I^-1 iff w_I^-1 x w_I has support inside J
-    w_i_inv = inverse(w_i)
-    for g in gens:
-        conj = multiply(multiply(w, g), inverse(w))
-        pulled = multiply(multiply(w_i_inv, conj), w_i)
-        if not support(pulled) <= j_set:
-            return False
-    return True
+def _in_candidate(matrix: CoxeterMatrix, candidate: tuple, r: Element) -> bool:
+    """Whether r lies in the candidate w_I W_J w_I^-1: iff w_I^-1 r w_I has
+    support inside J.  Memoised per system, since the answer does not depend
+    on the node whose reflection image r is."""
+    _, w_i, j_set = candidate
+    cache = matrix._scratch.setdefault("cent_prime_members", {})
+    key = (w_i.word, j_set, r.word)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = support(multiply(multiply(inverse(w_i), r), w_i)) <= j_set
+    return hit
 
 
 def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     """Along the whole closure of a cyclically reduced u: normalising any
-    spherical subgroup of the form w_I W_J w_I^-1 implies centralising it."""
+    spherical subgroup of the form w_I W_J w_I^-1 implies centralising it.
+
+    Each node w is tested through its reflection images w g w^-1, one for
+    each distinct candidate generator g; these generators form a set R0 of
+    reflections.  w normalises a candidate iff every image of its generators
+    lies in the candidate, and centralises it iff every such image is g.  An
+    image outside R0 lies in no candidate.  It is a reflection, and a
+    standard parabolic meets the reflections T in its own ones, W_J & T =
+    T_J = {x s_j x^-1 : x in W_J, j in J}; so the reflections of
+    w_I W_J w_I^-1 are (w_I x) s_j (w_I x)^-1 with w_I x in W_I, each the
+    generator of the singleton candidate (I, w_I x, {j}), which is in R0.
+    Only images inside R0 take the support test of :func:`_in_candidate`.
+    """
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
     matrix = u.system
@@ -324,14 +359,20 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     if hit is not None:
         return hit
     candidates = _cent_prime_candidates(matrix, cap)
+    reflections = frozenset(g for gens, _, _ in candidates for g in gens)
     nodes, _ = _closure_search(u, cap)
     verdict = True
     for w in sorted(nodes):
-        for gens, w_i, j_set in candidates:
-            if _normalises_conjugated(w, gens, w_i, j_set):
-                if not parabolic.centralises(w, gens):
-                    verdict = False
-                    break
+        w_inv = inverse(w)
+        image = {g: multiply(multiply(w, g), w_inv) for g in reflections}
+        for candidate in candidates:
+            gens = candidate[0]
+            if all(image[g] == g for g in gens):
+                continue
+            if all(image[g] in reflections and _in_candidate(matrix, candidate, image[g])
+                   for g in gens):
+                verdict = False
+                break
         if not verdict:
             break
     cache[u.word] = verdict

@@ -3,16 +3,33 @@
 The systems are module-level singletons so that every test module reuses the
 same memo caches.  The oracles here are deliberately naive re-derivations
 (fixpoint iteration, explicit subgroup enumeration) kept independent of the
-engine's search machinery, plus reference path engines: separate
-breadth-first searches over explicit braid-move steps, which the engine's one
-orbit search must match move for move.
+engine's search machinery, plus reference engines that the engine replaced
+and must still match: separate breadth-first searches over explicit
+braid-move steps, which the engine's one orbit search must match move for
+move, and the cyclic-shift moves and Cent' scan that reduce every rotation
+and test every candidate subgroup one product at a time.
 """
 
 import itertools
 import math
 from collections import deque
 
-from coxkit import DEFAULT_CAP, BraidStep, CancelStep, CoxeterMatrix, Element, canonical_word
+from coxkit import (
+    DEFAULT_CAP,
+    BraidStep,
+    CancelStep,
+    CoxeterMatrix,
+    Element,
+    braid_class,
+    canonical_word,
+    centralises,
+    inverse,
+    is_cyclically_reduced,
+    multiply,
+    reduce_word,
+    support,
+)
+from coxkit.conjugacy import _cent_prime_candidates
 from coxkit.errors import CapExceeded
 
 INF = math.inf
@@ -32,6 +49,9 @@ H3 = CoxeterMatrix.from_pairs("abc", {("a", "b"): 5, ("b", "c"): 3})
 B2T = CoxeterMatrix.from_pairs("stu", {("s", "t"): 4, ("t", "u"): 4})
 G2T = CoxeterMatrix.from_pairs("stu", {("s", "t"): 6, ("t", "u"): 3})
 T237 = CoxeterMatrix.from_pairs("stu", {("t", "u"): 3, ("s", "u"): 7})
+A3T = CoxeterMatrix.from_pairs(
+    "abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("a", "d"): 3}
+)
 
 #: systems named by the word-problem equivalence sweep
 WORD_PROBLEM_SYSTEMS = (A3, B3, A2T, DINF, U3)
@@ -194,3 +214,59 @@ def reference_braid_word_path(matrix, source, target, cap=DEFAULT_CAP):
                 return _walk_parents(parents, target)
             queue.append(nxt)
     raise ValueError("not braid-related")
+
+
+# ---------------------------------------------------------------------------
+# reference cyclic-shift moves and Cent' scan
+
+
+def reference_elementary_edges(u, cap=DEFAULT_CAP):
+    """Outgoing moves of u as ``(reduced word, rotation amount, target)``,
+    reducing every rotation of every reduced word on its own."""
+    out = []
+    for rho in sorted(braid_class(u.system, u.word, cap)):
+        for k in range(1, len(rho) + 1):
+            out.append((rho, k, reduce_word(u.system, rho[k:] + rho[:k])))
+    return tuple(out)
+
+
+def reference_closure(u, cap=DEFAULT_CAP):
+    """Node set of the cyclic-shift closure, by fixpoint over the reference
+    moves."""
+    nodes = {u}
+    frontier = [u]
+    while frontier:
+        grown = []
+        for cur in frontier:
+            for _, _, target in reference_elementary_edges(cur, cap):
+                if target not in nodes:
+                    nodes.add(target)
+                    grown.append(target)
+        frontier = grown
+    return nodes
+
+
+def _reference_normalises_conjugated(w, gens, w_i, j_set):
+    # x lies in w_I W_J w_I^-1 iff w_I^-1 x w_I has support inside J
+    w_i_inv = inverse(w_i)
+    for g in gens:
+        conj = multiply(multiply(w, g), inverse(w))
+        pulled = multiply(multiply(w_i_inv, conj), w_i)
+        if not support(pulled) <= j_set:
+            return False
+    return True
+
+
+def reference_has_cent_prime(u, cap=DEFAULT_CAP):
+    """The per-candidate Cent' scan: for every closure node and every
+    candidate w_I W_J w_I^-1, conjugate each generator and pull it back by
+    w_I; a normalised candidate must be centralised."""
+    if not is_cyclically_reduced(u, cap):
+        raise ValueError("has_cent_prime requires a cyclically reduced element")
+    candidates = _cent_prime_candidates(u.system, cap)
+    for w in sorted(reference_closure(u, cap)):
+        for gens, w_i, j_set in candidates:
+            if _reference_normalises_conjugated(w, gens, w_i, j_set):
+                if not centralises(w, gens):
+                    return False
+    return True

@@ -295,6 +295,35 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "argv, argument",
+        [
+            (["enumerate", "--", "-1"], "max_len"),
+            (["brute-class", "s", "--", "-1"], "len_cap"),
+            (["brute-order", "s", "--", "-1"], "n_cap"),
+            (["kappa-class", "--cap", "-1", "stu"], "--cap"),
+            (["oracle-is-reduced", "--oracle-length-cap", "-1", "-"], "--oracle-length-cap"),
+            (["is-conjugate", "--brute", "--brute-len", "-1", "s", "t"], "--brute-len"),
+        ],
+        ids=["max_len", "len_cap", "n_cap", "cap", "oracle-length-cap", "brute-len"],
+    )
+    def test_negative_bound_is_usage_error(self, capsys, a2t_file, argv, argument):
+        code, out, err = invoke(capsys, argv[0], "--matrix", a2t_file, *argv[1:])
+        assert code == EXIT_USAGE and out == ""
+        assert f"argument {argument}: must be a non-negative integer, got -1" in err
+
+    def test_zero_bound_is_accepted(self, capsys, a2t_file):
+        code, out, _ = invoke(capsys, "enumerate", "--matrix", a2t_file, "0")
+        assert code == EXIT_OK and out == "-\n"
+
+    def test_non_integer_bound_keeps_its_message(self, capsys, a2t_file):
+        code, _, err = invoke(capsys, "enumerate", "--matrix", a2t_file, "x")
+        assert code == EXIT_USAGE and "argument max_len: invalid int value: 'x'" in err
+
+    def test_negative_exponent_stays_signed(self, capsys, a2t_file):
+        code, out, _ = invoke(capsys, "power", "--matrix", a2t_file, "stu", "--", "-1")
+        assert code == EXIT_OK and out == "uts\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, a2t_file):

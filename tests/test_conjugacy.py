@@ -25,9 +25,9 @@ from coxkit import (
     rotations,
     spherical_subsets,
 )
-from coxkit.conjugacy import MoveCertificate
-from coxkit.core import BraidStep, RotateStep
-from coxkit.errors import ReplayError
+from coxkit.conjugacy import MoveCertificate, _closure_search
+from coxkit.core import BraidStep, CoxeterMatrix, RotateStep
+from coxkit.errors import CapExceeded, ReplayError
 
 
 def _sws(a2t):
@@ -98,6 +98,30 @@ class TestKappaClosure:
             assert closure.length_preserved
             for node in closure.nodes:
                 assert set(kappa_closure(node).nodes) == set(closure.nodes)
+
+    def test_memoised_closure_refuses_at_the_fresh_cap(self, a2t):
+        # the closure is memoised per system; a hit must refuse exactly where
+        # a search on a system with empty memos does
+        def fresh():
+            return CoxeterMatrix(a2t.names, a2t.table).element("tustuts")
+
+        warm = fresh()
+        n = len(kappa_closure(warm).nodes)
+        assert n == 6
+        with pytest.raises(CapExceeded) as on_fresh:
+            kappa_closure(fresh(), cap=n - 1)
+        with pytest.raises(CapExceeded) as on_hit:
+            kappa_closure(warm, cap=n - 1)
+        assert str(on_hit.value) == str(on_fresh.value)
+        assert str(on_hit.value) == f"cyclic-shift closure exceeded the node cap of {n - 1}"
+        assert kappa_closure(warm, cap=n) == kappa_closure(warm)
+        assert kappa_closure(fresh(), cap=n).nodes == kappa_closure(warm).nodes
+
+    def test_memoised_closure_is_read_only(self, a2t):
+        nodes, parents = _closure_search(a2t.element("tustuts"))
+        assert isinstance(nodes, frozenset)
+        with pytest.raises(TypeError):
+            parents[a2t.identity()] = None
 
 
 class TestCyclicReducedness:

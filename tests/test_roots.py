@@ -27,11 +27,8 @@ from coxkit.roots import NEG, NONMIN, Field, minimal_root_table
 
 INF = helpers.INF
 
-H3, B2T, G2T, T237 = helpers.H3, helpers.B2T, helpers.G2T, helpers.T237
+H3, B2T, G2T, T237, A3T = helpers.H3, helpers.B2T, helpers.G2T, helpers.T237, helpers.A3T
 I2_5 = CoxeterMatrix.from_pairs("ab", {("a", "b"): 5})
-A3T = CoxeterMatrix.from_pairs(
-    "abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("a", "d"): 3}
-)
 # m in {4, 5, 6}: the field is Z[2cos(pi/60)], of degree 16
 MIXED = CoxeterMatrix.from_pairs("abc", {("a", "b"): 4, ("b", "c"): 5, ("a", "c"): 6})
 
