@@ -564,6 +564,18 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         return power(self, n)
 
+    def __eq__(self, other):
+        # words first: they differ far more often than systems, which are
+        # almost always the same object
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word and (
+            self.system is other.system or self.system == other.system)
+
+    def __hash__(self):
+        # bytes cache their hash; equal elements have equal words
+        return hash(self.word)
+
     def __lt__(self, other: "Element") -> bool:
         return (len(self.word), self.word) < (len(other.word), other.word)
 
@@ -575,7 +587,7 @@ class Element:
 
 
 def _same_system(x: Element, y: Element) -> CoxeterMatrix:
-    if x.system != y.system:
+    if x.system is not y.system and x.system != y.system:
         raise ValueError("elements live in different Coxeter systems")
     return x.system
 

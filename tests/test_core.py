@@ -201,6 +201,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             multiply(a2.element("s"), a3.element("s1"))
 
+    def test_element_equality_and_hash(self, a2, b2):
+        twin = CoxeterMatrix.from_pairs("st", {("s", "t"): 3})
+        x, y = a2.element("sts"), twin.element("tst")
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        # same word, different system: equal hashes, unequal elements
+        z = b2.element("sts")
+        assert z.word == x.word and z != x and len({x, z}) == 2
+        assert x != x.word and multiply(x, y).is_identity()
+
 
 class TestDescentsAndSupport:
     def test_identity_has_no_descents(self, a2t):
