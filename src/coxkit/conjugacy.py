@@ -1,7 +1,9 @@
 """Cyclic shifts, closure graphs, cyclic reduction, conjugacy, torsion order.
 
 An element u is *elementary related* to v when some reduced word of u,
-rotated by some amount, spells v after reduction.  The transitive closure of
+rotated by some amount, spells v after reduction.  Rotating a word by one
+letter s is the cyclic shift u -> s u s, so the targets are computed one
+memoised shift per letter.  The transitive closure of
 this move system (the kappa closure) never increases length, so it is finite;
 its minimal-length stratum holds cyclically reduced conjugates of u.  Two
 elements with intersecting strata are certainly conjugate, and the converse
@@ -34,12 +36,12 @@ from .core import (
     apply_step,
     braid_class,
     braid_word_path,
-    is_reduced,
-    multiply,
+    conjugate,
     inverse,
-    reduce_word,
+    is_reduced,
     reduce_word_with_path,
     support,
+    _shift,
 )
 from .errors import CapExceeded, InvariantViolation, ReplayError
 from . import oracle, parabolic
@@ -124,22 +126,21 @@ def _elementary_edges(u: Element, cap: int = DEFAULT_CAP) -> tuple:
     """Outgoing moves of one element: (reduced word, rotation amount, target).
 
     Deterministic order: reduced words shortlex, then rotation amount.  The
-    rotation of rho by k spells x^-1 u x with x = rho[:k], so its target
-    depends on the prefix alone: reduced words sharing a prefix share the
-    reduction, and each distinct prefix is reduced once.
+    rotation of rho by k spells x^-1 u x with x = rho[:k], so its target is
+    the cyclic shift of the previous target by the letter rho[k-1]: walking
+    rho from u takes one memoised s*v*s per letter (``core._shift``), and
+    reduced words sharing a prefix share the walk.
     """
-    cache = u.system._scratch.setdefault("elementary_edges", {})
+    matrix = u.system
+    cache = matrix._scratch.setdefault("elementary_edges", {})
     hit = cache.get(u.word)
     if hit is None:
         out = []
-        by_prefix = {}
-        for rho in sorted(braid_class(u.system, u.word, cap)):
-            for k in range(1, len(rho) + 1):
-                prefix = rho[:k]
-                target = by_prefix.get(prefix)
-                if target is None:
-                    target = by_prefix[prefix] = reduce_word(u.system, rho[k:] + prefix)
-                out.append((rho, k, target))
+        for rho in sorted(braid_class(matrix, u.word, cap)):
+            word = u.word
+            for k, s in enumerate(rho, 1):
+                word = _shift(matrix, word, s)
+                out.append((rho, k, Element(matrix, word)))
         hit = tuple(out)
         cache[u.word] = hit
     return hit
@@ -309,10 +310,7 @@ def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
                 for j_set in parabolic.spherical_subsets(matrix):
                     if not j_set or not j_set <= members:
                         continue
-                    gens = tuple(
-                        multiply(multiply(w_i, matrix.generator(j)), inverse(w_i))
-                        for j in sorted(j_set)
-                    )
+                    gens = tuple(conjugate(w_i, matrix.generator(j)) for j in sorted(j_set))
                     genset = frozenset(gens)
                     if genset in seen_gensets:
                         continue
@@ -332,7 +330,7 @@ def _in_candidate(matrix: CoxeterMatrix, candidate: tuple, r: Element) -> bool:
     key = (w_i.word, j_set, r.word)
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = support(multiply(multiply(inverse(w_i), r), w_i)) <= j_set
+        hit = cache[key] = support(conjugate(inverse(w_i), r)) <= j_set
     return hit
 
 
@@ -363,8 +361,7 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     nodes, _ = _closure_search(u, cap)
     verdict = True
     for w in sorted(nodes):
-        w_inv = inverse(w)
-        image = {g: multiply(multiply(w, g), w_inv) for g in reflections}
+        image = {g: conjugate(w, g) for g in reflections}
         for candidate in candidates:
             gens = candidate[0]
             if all(image[g] == g for g in gens):
@@ -456,7 +453,7 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
         conjugators = oracle.enumerate_elements(matrix, brute_len_cap, cap=cap)
         exhaustive = not conjugators or conjugators[-1].length < brute_len_cap
         for v in conjugators:
-            if multiply(multiply(v, u1), inverse(v)) == u2:
+            if conjugate(v, u1) == u2:
                 return ConjugacyVerdict(ConjugacyStatus.CONJUGATE, conjugator=v)
         if exhaustive:
             return ConjugacyVerdict(

@@ -14,7 +14,8 @@ forms come from the table of minimal roots of Brink and Howlett (see
     the least left descent again and again.
 
 So the word layer (``canonical_word``, ``is_reduced``, products, inverses,
-descents) never searches and takes no node cap.  Braid classes, commutation
+descents, and conjugates, built one cyclic shift s*v*s at a time by
+``_shift``) never searches and takes no node cap.  Braid classes, commutation
 classes and braid-move paths are found by one breadth-first search of the
 graph of braid moves, ``_braid_orbit`` (Tits: two reduced words spell the same
 element iff braid moves connect them); it carries a node cap, and exceeding it
@@ -468,10 +469,12 @@ def canonical_word(matrix: CoxeterMatrix, word: WordLike) -> Word:
     The answer is memoised under the input, the words met while reducing it,
     the reduced word and the answer itself.
     """
-    word = matrix.word(word)
+    if not isinstance(word, bytes):
+        word = matrix.word(word)
     cache = _cache(matrix, "canon")
     canon = cache.get(word)
     if canon is None:
+        word = matrix.word(word)  # a miss is validated; every memo key was when stored
         act = _root_table(matrix)
         trail = [word]
         reduced = _reduce(act, word, trail)
@@ -564,16 +567,13 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         return power(self, n)
 
-    def __eq__(self, other):
-        # words first: they differ far more often than systems, which are
-        # almost always the same object
+    def __eq__(self, other):  # words first, then systems by identity before value
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.word == other.word and (
             self.system is other.system or self.system == other.system)
 
-    def __hash__(self):
-        # bytes cache their hash; equal elements have equal words
+    def __hash__(self):  # bytes cache their hash
         return hash(self.word)
 
     def __lt__(self, other: "Element") -> bool:
@@ -627,9 +627,28 @@ def power(x: Element, n: int) -> Element:
     return acc
 
 
+def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
+    """The canonical word of s*v*s for the reduced ``word`` v, memoised per
+    system; no search.  Twice, multiply by s on the right (the exchange walk)
+    and reverse, which spells the inverse: v -> s v^-1 -> s v s."""
+    cache = _cache(matrix, "shift")
+    hit = cache.get((word, s))
+    if hit is None:
+        act, out = _root_table(matrix), word
+        for _ in range(2):
+            i = _exchange(act, out, s)
+            out = (out + bytes((s,)) if i is None else out[:i] + out[i + 1 :])[::-1]
+        hit = cache[word, s] = _shortlex(matrix, act, out)
+    return hit
+
+
 def conjugate(v: Element, x: Element) -> Element:
-    """v * x * v^-1."""
-    return multiply(multiply(v, x), inverse(v))
+    """v x v^-1 = a_1(...(a_l x a_l)...)a_1 for v = a_1...a_l, one shift per letter."""
+    matrix = _same_system(v, x)
+    word = x.word
+    for s in reversed(v.word):
+        word = _shift(matrix, word, s)
+    return Element(matrix, word)
 
 
 def _descents(matrix: CoxeterMatrix, word: Word) -> frozenset:

@@ -25,7 +25,7 @@ from .core import (
     CoxeterMatrix,
     Element,
     WordLike,
-    inverse,
+    conjugate,
     multiply,
 )
 from .errors import CapExceeded, NumericallyAmbiguous
@@ -153,7 +153,7 @@ def conjugacy_class_bruteforce(w: Element, conjugator_len_cap: Optional[int], *,
     matrix = w.system
     out = set()
     for v in enumerate_elements(matrix, conjugator_len_cap, cap=cap):
-        out.add(multiply(multiply(v, w), inverse(v)))
+        out.add(conjugate(v, w))
     return tuple(sorted(out))
 
 

@@ -6,8 +6,9 @@ same memo caches.  The oracles here are deliberately naive re-derivations
 engine's search machinery, plus reference engines that the engine replaced
 and must still match: separate breadth-first searches over explicit
 braid-move steps, which the engine's one orbit search must match move for
-move, and the cyclic-shift moves and Cent' scan that reduce every rotation
-and test every candidate subgroup one product at a time.
+move; conjugation as two products; and the cyclic-shift moves and Cent' scan
+that reduce every rotation and test every candidate subgroup one product at
+a time.
 """
 
 import itertools
@@ -217,7 +218,12 @@ def reference_braid_word_path(matrix, source, target, cap=DEFAULT_CAP):
 
 
 # ---------------------------------------------------------------------------
-# reference cyclic-shift moves and Cent' scan
+# reference conjugation, cyclic-shift moves and Cent' scan
+
+
+def reference_conjugate(v, x):
+    """v x v^-1 as two products, each a fresh reduction."""
+    return multiply(multiply(v, x), inverse(v))
 
 
 def reference_elementary_edges(u, cap=DEFAULT_CAP):

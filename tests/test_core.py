@@ -84,6 +84,20 @@ class TestWordSyntax:
         with pytest.raises(WordSyntaxError):
             a3.word("s1s2")
 
+    def test_invalid_bytes_rejected_on_fresh_and_warmed_system(self):
+        # index 3 names no generator of a rank-3 system, but it is a valid
+        # row of the minimal-root table, so only validation can catch it
+        matrix = CoxeterMatrix.from_pairs("stu", {("s", "t"): 3, ("t", "u"): 3, ("s", "u"): 3})
+        bad = (b"\x03", b"\x00\x03", b"\x01\x00\x01\x03")
+        for word in bad:
+            with pytest.raises(WordSyntaxError, match="invalid generator index"):
+                canonical_word(matrix, word)
+        for word in helpers.all_words(matrix, 4):
+            canonical_word(matrix, word)
+        for word in bad:
+            with pytest.raises(WordSyntaxError, match="invalid generator index"):
+                canonical_word(matrix, word)
+
 
 class TestBraidClass:
     def test_no_applicable_move(self, a2t):
