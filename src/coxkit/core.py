@@ -567,7 +567,7 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         return power(self, n)
 
-    def __eq__(self, other):  # words first, then systems by identity before value
+    def __eq__(self, other):  # words differ far more often; systems are nearly always one object
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.word == other.word and (
