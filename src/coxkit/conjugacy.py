@@ -37,7 +37,6 @@ from .core import (
     braid_class,
     braid_word_path,
     conjugate,
-    inverse,
     is_reduced,
     reduce_word_with_path,
     support,
@@ -122,27 +121,51 @@ def parse_step(matrix: CoxeterMatrix, line: str) -> Step:
 # the move system
 
 
+def _rotation_walk(u: Element, cap: int):
+    """Every reduced word rho of u, shortlex, with ``common``, the length of
+    its common prefix with the previous one, and a stack whose k-th word is
+    the rotation of rho by k, x^-1 u x with x = rho[:k]: one memoised shift
+    s*v*s of the (k-1)-th by rho[k-1] (``core._shift``).  rho resumes the
+    previous word's stack after ``common`` letters; the list is reused."""
+    matrix = u.system
+    stack = [u.word]
+    words = sorted(braid_class(matrix, u.word, cap))
+    for prev, rho in zip([b""] + words, words):
+        common = 0
+        while common < len(prev) and prev[common] == rho[common]:
+            common += 1
+        del stack[common + 1:]
+        for s in rho[common:]:
+            stack.append(_shift(matrix, stack[-1], s))
+        yield rho, common, stack
+
+
 def _elementary_edges(u: Element, cap: int = DEFAULT_CAP) -> tuple:
     """Outgoing moves of one element: (reduced word, rotation amount, target).
 
-    Deterministic order: reduced words shortlex, then rotation amount.  The
-    rotation of rho by k spells x^-1 u x with x = rho[:k], so its target is
-    the cyclic shift of the previous target by the letter rho[k-1]: walking
-    rho from u takes one memoised s*v*s per letter (``core._shift``), and
-    reduced words sharing a prefix share the walk.
+    Deterministic order: reduced words shortlex, then rotation amount.  Not
+    memoised; the searches read :func:`_elementary_targets` instead.
     """
     matrix = u.system
-    cache = matrix._scratch.setdefault("elementary_edges", {})
+    return tuple((rho, k, Element(matrix, stack[k]))
+                 for rho, _, stack in _rotation_walk(u, cap)
+                 for k in range(1, len(rho) + 1))
+
+
+def _elementary_targets(u: Element, cap: int = DEFAULT_CAP) -> dict:
+    """The distinct targets of :func:`_elementary_edges`, in order of first
+    appearance, each mapped to its first witness (rho, k); memoised per
+    system.  Rotations shared with the previous reduced word are skipped."""
+    matrix = u.system
+    cache = matrix._scratch.setdefault("elementary_targets", {})
     hit = cache.get(u.word)
     if hit is None:
-        out = []
-        for rho in sorted(braid_class(matrix, u.word, cap)):
-            word = u.word
-            for k, s in enumerate(rho, 1):
-                word = _shift(matrix, word, s)
-                out.append((rho, k, Element(matrix, word)))
-        hit = tuple(out)
-        cache[u.word] = hit
+        found = {}
+        for rho, common, stack in _rotation_walk(u, cap):
+            for k in range(common + 1, len(rho) + 1):
+                found.setdefault(stack[k], (rho, k))
+        hit = cache[u.word] = {Element(matrix, word): witness
+                               for word, witness in found.items()}
     return hit
 
 
@@ -150,7 +173,7 @@ def elementary_related(u: Element, cap: int = DEFAULT_CAP) -> frozenset:
     """Elements spelled by rotations of reduced words of u (includes u)."""
     if u.is_identity():
         return frozenset({u})
-    return frozenset(target for _, _, target in _elementary_edges(u, cap))
+    return frozenset(_elementary_targets(u, cap))
 
 
 def _closure_search(u: Element, cap: int = DEFAULT_CAP):
@@ -170,7 +193,7 @@ def _closure_search(u: Element, cap: int = DEFAULT_CAP):
         queue = deque([u])
         while queue:
             cur = queue.popleft()
-            for rho, k, target in _elementary_edges(cur, cap):
+            for target, (rho, k) in _elementary_targets(cur, cap).items():
                 if target in nodes:
                     continue
                 if len(nodes) >= cap:
@@ -321,16 +344,27 @@ def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
     return hit
 
 
-def _in_candidate(matrix: CoxeterMatrix, candidate: tuple, r: Element) -> bool:
-    """Whether r lies in the candidate w_I W_J w_I^-1: iff w_I^-1 r w_I has
-    support inside J.  Memoised per system, since the answer does not depend
-    on the node whose reflection image r is."""
-    _, w_i, j_set = candidate
-    cache = matrix._scratch.setdefault("cent_prime_members", {})
-    key = (w_i.word, j_set, r.word)
-    hit = cache.get(key)
+def _cent_prime_masks(matrix: CoxeterMatrix, cap: int) -> tuple:
+    """Bitmasks over the candidates, bit c for candidate c: ``generates[g]``
+    marks the candidates that generator g generates, ``members[r]`` those whose
+    reflection set holds r.  The reflections of a candidate are the orbit of
+    its generators under conjugation by them.  Memoised per system."""
+    cache = matrix._scratch.setdefault("cent_prime_masks", {})
+    hit = cache.get(cap)
     if hit is None:
-        hit = cache[key] = support(conjugate(inverse(w_i), r)) <= j_set
+        generates, members = {}, {}
+        for c, (gens, _, _) in enumerate(_cent_prime_candidates(matrix, cap)):
+            orbit = list(gens)
+            for x in orbit:  # grows until closed under conjugation by gens
+                for g in gens:
+                    y = conjugate(g, x)
+                    if y not in orbit:
+                        orbit.append(y)
+            for g in gens:
+                generates[g] = generates.get(g, 0) | 1 << c
+            for r in orbit:
+                members[r] = members.get(r, 0) | 1 << c
+        hit = cache[cap] = (generates, members)
     return hit
 
 
@@ -342,12 +376,14 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     each distinct candidate generator g; these generators form a set R0 of
     reflections.  w normalises a candidate iff every image of its generators
     lies in the candidate, and centralises it iff every such image is g.  An
-    image outside R0 lies in no candidate.  It is a reflection, and a
-    standard parabolic meets the reflections T in its own ones, W_J & T =
-    T_J = {x s_j x^-1 : x in W_J, j in J}; so the reflections of
-    w_I W_J w_I^-1 are (w_I x) s_j (w_I x)^-1 with w_I x in W_I, each the
+    image is a reflection, and a standard parabolic meets the reflections T
+    in its own ones, W_J & T = T_J = {x s_j x^-1 : x in W_J, j in J}; so the
+    reflections of w_I W_J w_I^-1 are the orbit of its generators under
+    conjugation by them, each (w_I x) s_j (w_I x)^-1 with w_I x in W_I, the
     generator of the singleton candidate (I, w_I x, {j}), which is in R0.
-    Only images inside R0 take the support test of :func:`_in_candidate`.
+    An image r != g moves the candidates g generates and breaks those that
+    miss r (:func:`_cent_prime_masks`); Cent' fails where one is moved and
+    not broken.
     """
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
@@ -356,21 +392,18 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     hit = cache.get(u.word)
     if hit is not None:
         return hit
-    candidates = _cent_prime_candidates(matrix, cap)
-    reflections = frozenset(g for gens, _, _ in candidates for g in gens)
+    generates, members = _cent_prime_masks(matrix, cap)
     nodes, _ = _closure_search(u, cap)
     verdict = True
     for w in sorted(nodes):
-        image = {g: conjugate(w, g) for g in reflections}
-        for candidate in candidates:
-            gens = candidate[0]
-            if all(image[g] == g for g in gens):
-                continue
-            if all(image[g] in reflections and _in_candidate(matrix, candidate, image[g])
-                   for g in gens):
-                verdict = False
-                break
-        if not verdict:
+        moved = broken = 0
+        for g, mask in generates.items():
+            r = conjugate(w, g)
+            if r != g:
+                moved |= mask
+                broken |= mask & ~members.get(r, 0)
+        if moved & ~broken:
+            verdict = False
             break
     cache[u.word] = verdict
     return verdict

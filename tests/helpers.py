@@ -6,9 +6,10 @@ same memo caches.  The oracles here are deliberately naive re-derivations
 engine's search machinery, plus reference engines that the engine replaced
 and must still match: separate breadth-first searches over explicit
 braid-move steps, which the engine's one orbit search must match move for
-move; conjugation as two products; and the cyclic-shift moves and Cent' scan
-that reduce every rotation and test every candidate subgroup one product at
-a time.
+move; conjugation as two products; the cyclic-shift moves, closure search
+and Cent' scan that reduce every rotation, walk every move and test every
+candidate subgroup one product at a time; and candidate membership by the
+support test.
 """
 
 import itertools
@@ -250,6 +251,33 @@ def reference_closure(u, cap=DEFAULT_CAP):
                     grown.append(target)
         frontier = grown
     return nodes
+
+
+def reference_closure_search(u, cap=DEFAULT_CAP):
+    """Closure nodes and first-discovery parents ``v -> (previous, rho, k)``
+    by breadth-first search over every reference move in edge order, as the
+    engine searched before it kept one witness per distinct target."""
+    nodes = {u}
+    parents = {}
+    queue = deque([u])
+    while queue:
+        cur = queue.popleft()
+        for rho, k, target in reference_elementary_edges(cur, cap):
+            if target in nodes:
+                continue
+            if len(nodes) >= cap:
+                raise CapExceeded(f"cyclic-shift closure exceeded the node cap of {cap}")
+            nodes.add(target)
+            parents[target] = (cur, rho, k)
+            queue.append(target)
+    return nodes, parents
+
+
+def reference_in_candidate(candidate, r):
+    """Whether r lies in the candidate w_I W_J w_I^-1: iff w_I^-1 r w_I has
+    support inside J."""
+    _, w_i, j_set = candidate
+    return support(reference_conjugate(inverse(w_i), r)) <= j_set
 
 
 def _reference_normalises_conjugated(w, gens, w_i, j_set):

@@ -1,15 +1,20 @@
-"""Conjugation, the cyclic-shift moves and the Cent' check against the
-engines they replaced.
+"""Conjugation, the cyclic-shift moves, the closure search and the Cent'
+check against the engines they replaced.
 
 ``conjugate`` applies one memoised cyclic shift s*v*s per letter instead of
-two products; ``_elementary_edges`` walks each reduced word one shift per
-letter instead of reducing every rotation, and ``has_cent_prime`` tests
-reflection images instead of scanning every candidate subgroup product by
-product.  All must agree with the reference engines in ``helpers`` exactly:
-conjugates and normaliser tests for every pair of elements of at most 3
-letters, edge tuples move for move, and Cent' verdicts on every cyclically
-reduced element (548 of them; of the 127 false ones, 57 lie in the finite
-systems).
+two products.  ``_elementary_edges`` walks the reduced words one shift per
+letter, each resuming the shifts of the previous word at their common
+prefix, instead of reducing every rotation; ``_closure_search`` reads only
+the distinct targets of that walk, each with its first witness, instead of
+every move.  ``has_cent_prime`` reads candidate membership of reflection
+images from bitmasks over the candidates' reflection sets instead of
+scanning every candidate subgroup product by product.  All must agree with
+the reference engines in ``helpers`` exactly: conjugates and normaliser
+tests for every pair of elements of at most 3 letters; edge tuples move for
+move, and closure nodes and parents (previous node, reduced word, rotation)
+on every element of the sweep (949 of them); every membership bit against
+the support test; and Cent' verdicts on every cyclically reduced element
+(548 of them; of the 127 false ones, 57 lie in the finite systems).
 """
 
 import itertools
@@ -18,6 +23,7 @@ import pytest
 
 import helpers
 from coxkit import (
+    DEFAULT_CAP,
     conjugate,
     enumerate_elements,
     has_cent_prime,
@@ -25,7 +31,12 @@ from coxkit import (
     normalises,
     support,
 )
-from coxkit.conjugacy import _elementary_edges
+from coxkit.conjugacy import (
+    _cent_prime_candidates,
+    _cent_prime_masks,
+    _closure_search,
+    _elementary_edges,
+)
 
 # system, longest element length swept
 SYSTEMS = {
@@ -46,6 +57,26 @@ SYSTEMS = {
 def test_edges_match_reference(matrix, max_len):
     for u in enumerate_elements(matrix, max_len):
         assert _elementary_edges(u) == helpers.reference_elementary_edges(u), u
+
+
+@pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
+def test_closure_parents_match_reference(matrix, max_len):
+    for u in enumerate_elements(matrix, max_len):
+        nodes, parents = _closure_search(u)
+        ref_nodes, ref_parents = helpers.reference_closure_search(u)
+        assert nodes == ref_nodes, u
+        assert dict(parents) == ref_parents, u
+
+
+@pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
+def test_cent_prime_membership_matches_reference(matrix, max_len):
+    candidates = _cent_prime_candidates(matrix, DEFAULT_CAP)
+    generates, members = _cent_prime_masks(matrix, DEFAULT_CAP)
+    assert set(members) <= set(generates)
+    for c, candidate in enumerate(candidates):
+        for r in generates:
+            in_mask = bool(members.get(r, 0) >> c & 1)
+            assert in_mask == helpers.reference_in_candidate(candidate, r), (candidate, r)
 
 
 @pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
