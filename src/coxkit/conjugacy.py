@@ -19,7 +19,7 @@ the start element to the canonical word of the target.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Optional
@@ -140,32 +140,25 @@ def _rotation_walk(u: Element, cap: int):
         yield rho, common, stack
 
 
-def _elementary_edges(u: Element, cap: int = DEFAULT_CAP) -> tuple:
-    """Outgoing moves of one element: (reduced word, rotation amount, target).
-
-    Deterministic order: reduced words shortlex, then rotation amount.  Not
-    memoised; the searches read :func:`_elementary_targets` instead.
-    """
-    matrix = u.system
-    return tuple((rho, k, Element(matrix, stack[k]))
-                 for rho, _, stack in _rotation_walk(u, cap)
-                 for k in range(1, len(rho) + 1))
-
-
-def _elementary_targets(u: Element, cap: int = DEFAULT_CAP) -> dict:
-    """The distinct targets of :func:`_elementary_edges`, in order of first
-    appearance, each mapped to its first witness (rho, k); memoised per
+def _elementary_targets(u: Element, cap: int = DEFAULT_CAP) -> tuple:
+    """``(targets, words)``: every element spelled by a rotation of a reduced
+    word of u, in order of first appearance (reduced words shortlex, then
+    rotation amount), each mapped to its first witness (rho, k), and the
+    number of reduced words walked.  Memoised per system; a hit over ``cap``
+    words is walked again, so :func:`braid_class` refuses as on a fresh
     system.  Rotations shared with the previous reduced word are skipped."""
     matrix = u.system
-    cache = matrix._scratch.setdefault("elementary_targets", {})
+    cache = matrix._scratch["elementary_targets"]
     hit = cache.get(u.word)
-    if hit is None:
+    if hit is None or hit[1] > cap:
         found = {}
+        words = 0
         for rho, common, stack in _rotation_walk(u, cap):
+            words += 1
             for k in range(common + 1, len(rho) + 1):
                 found.setdefault(stack[k], (rho, k))
-        hit = cache[u.word] = {Element(matrix, word): witness
-                               for word, witness in found.items()}
+        hit = cache[u.word] = ({Element(matrix, word): witness
+                                for word, witness in found.items()}, words)
     return hit
 
 
@@ -173,78 +166,66 @@ def elementary_related(u: Element, cap: int = DEFAULT_CAP) -> frozenset:
     """Elements spelled by rotations of reduced words of u (includes u)."""
     if u.is_identity():
         return frozenset({u})
-    return frozenset(_elementary_targets(u, cap))
-
-
-def _closure_search(u: Element, cap: int = DEFAULT_CAP):
-    """Transitive closure under elementary moves, with discovery back-pointers.
-
-    Returns (nodes, parents): a frozenset, and a read-only mapping where
-    parents[v] = (previous, rho, k) describes the first discovered move
-    reaching v.  Both are memoised per system under the start word; a memo
-    hit refuses exactly when the search would have, so the cap behaves as on
-    a fresh system.
-    """
-    cache = u.system._scratch.setdefault("closure", {})
-    hit = cache.get(u.word)
-    if hit is None:
-        nodes = {u}
-        parents = {}
-        queue = deque([u])
-        while queue:
-            cur = queue.popleft()
-            for target, (rho, k) in _elementary_targets(cur, cap).items():
-                if target in nodes:
-                    continue
-                if len(nodes) >= cap:
-                    raise _closure_cap(cap)
-                nodes.add(target)
-                parents[target] = (cur, rho, k)
-                queue.append(target)
-        hit = cache[u.word] = (frozenset(nodes), MappingProxyType(parents))
-    elif len(hit[0]) > cap:
-        raise _closure_cap(cap)
-    return hit
-
-
-def _closure_cap(cap: int) -> CapExceeded:
-    return CapExceeded(f"cyclic-shift closure exceeded the node cap of {cap}")
+    return frozenset(_elementary_targets(u, cap)[0])
 
 
 @dataclass(frozen=True)
 class KappaClosure:
     """The reachable set under braid moves, cyclic shifts and cancellations.
 
-    ``edges`` holds every discovered move as (source, (word, rotation), target);
-    both nodes and edges are canonically ordered.
+    ``nodes`` and ``min_stratum`` are canonically ordered.  ``parents[v] =
+    (previous, rho, k)`` is the move that first reached v in the search: v is
+    spelled by rotating the reduced word rho of previous by k letters.  It is
+    read-only and takes no part in comparison.
     """
 
     start: Element
     nodes: tuple
-    edges: tuple
+    parents: MappingProxyType = field(compare=False)
     min_length: int
     min_stratum: tuple
     length_preserved: bool
 
 
 def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
-    nodes, _ = _closure_search(u, cap)
-    edges = []
-    for src in sorted(nodes):
-        if src.is_identity():
-            continue
-        for rho, k, target in _elementary_edges(src, cap):
-            edges.append((src, (rho, k), target))
-    min_length = min(v.length for v in nodes)
-    stratum = tuple(sorted(v for v in nodes if v.length == min_length))
-    return KappaClosure(
+    """The closure of u, by breadth-first search over the distinct targets of
+    each node.  The record is memoised per system under the start word with
+    its peak, the largest braid class among its nodes.  A hit whose peak or
+    node count is over ``cap`` is searched again over the memoised targets,
+    so it refuses exactly as on a fresh system, naming the same search.
+    """
+    cache = u.system._scratch["closure"]
+    hit = cache.get(u.word)
+    if hit is not None and max(hit[1], len(hit[0].nodes)) <= cap:
+        return hit[0]
+    seen = {u}
+    parents = {}
+    peak = 0
+    queue = deque([u])
+    while queue:
+        cur = queue.popleft()
+        targets, words = _elementary_targets(cur, cap)
+        peak = max(peak, words)
+        for target, (rho, k) in targets.items():
+            if target in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceeded(f"cyclic-shift closure exceeded the node cap of {cap}")
+            seen.add(target)
+            parents[target] = (cur, rho, k)
+            queue.append(target)
+    nodes = tuple(sorted(seen, key=lambda v: (len(v.word), v.word)))
+    low = nodes[0].length
+    record = KappaClosure(
         start=u,
-        nodes=tuple(sorted(nodes)),
-        edges=tuple(edges),
-        min_length=min_length,
-        min_stratum=stratum,
-        length_preserved=(min_length == u.length),
+        nodes=nodes,
+        parents=MappingProxyType(parents),
+        min_length=low,
+        min_stratum=tuple(v for v in nodes if v.length == low),
+        length_preserved=(low == u.length),
     )
+    cache[u.word] = record, peak
+    return record
 
 
 def _hop_certificate(prev: Element, rho: Word, k: int, target: Element,
@@ -276,7 +257,7 @@ def _path_certificate(start: Element, parents: dict, target: Element,
 
 def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
     """Every rotation of every reduced word of w stays reduced."""
-    cache = w.system._scratch.setdefault("cyclically_reduced", {})
+    cache = w.system._scratch["cyclically_reduced"]
     hit = cache.get(w.word)
     if hit is None:
         hit = all(
@@ -295,12 +276,11 @@ def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
     the closure minimum.  When the closure preserves length, w itself is
     already minimal and is returned with an empty certificate.
     """
-    nodes, parents = _closure_search(w, cap)
-    low = min(x.length for x in nodes)
-    if low == w.length:
+    closure = kappa_closure(w, cap)
+    if closure.length_preserved:
         return w, MoveCertificate(w.word, (), w.word)
-    target = min(x for x in nodes if x.length == low)
-    return target, _path_certificate(w, parents, target, cap)
+    target = closure.min_stratum[0]
+    return target, _path_certificate(w, closure.parents, target, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -313,27 +293,28 @@ def is_finite_order(w: Element, cap: int = DEFAULT_CAP) -> bool:
     Sound because such a node lies in a finite standard parabolic subgroup;
     complete because a finite-order element always reaches one by these moves.
     """
-    nodes, _ = _closure_search(w, cap)
-    return any(parabolic.is_spherical(w.system, support(v)) for v in nodes)
+    return any(parabolic.is_spherical(w.system, support(v))
+               for v in kappa_closure(w, cap).nodes)
 
 
 def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
     """Spherical subgroups of the form w_I W_J w_I^-1, deduplicated by their
     generating sets; each entry is (generators, w_I, J)."""
-    cache = matrix._scratch.setdefault("cent_prime_candidates", {})
+    cache = matrix._scratch["cent_prime_candidates"]
     hit = cache.get(cap)
     if hit is None:
         out = []
         seen_gensets = set()
-        for members in parabolic.spherical_subsets(matrix):
+        subsets = parabolic.spherical_subsets(matrix)
+        for members in subsets:
             if not members:
                 continue
+            j_sets = [j_set for j_set in subsets if j_set and j_set <= members]
             subgroup = oracle.enumerate_elements(matrix, None, cap=cap, letters=members)
             for w_i in subgroup:
-                for j_set in parabolic.spherical_subsets(matrix):
-                    if not j_set or not j_set <= members:
-                        continue
-                    gens = tuple(conjugate(w_i, matrix.generator(j)) for j in sorted(j_set))
+                images = {j: conjugate(w_i, matrix.generator(j)) for j in members}
+                for j_set in j_sets:
+                    gens = tuple(images[j] for j in sorted(j_set))
                     genset = frozenset(gens)
                     if genset in seen_gensets:
                         continue
@@ -349,7 +330,7 @@ def _cent_prime_masks(matrix: CoxeterMatrix, cap: int) -> tuple:
     marks the candidates that generator g generates, ``members[r]`` those whose
     reflection set holds r.  The reflections of a candidate are the orbit of
     its generators under conjugation by them.  Memoised per system."""
-    cache = matrix._scratch.setdefault("cent_prime_masks", {})
+    cache = matrix._scratch["cent_prime_masks"]
     hit = cache.get(cap)
     if hit is None:
         generates, members = {}, {}
@@ -388,14 +369,13 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
     matrix = u.system
-    cache = matrix._scratch.setdefault("cent_prime", {})
+    cache = matrix._scratch["cent_prime"]
     hit = cache.get(u.word)
     if hit is not None:
         return hit
     generates, members = _cent_prime_masks(matrix, cap)
-    nodes, _ = _closure_search(u, cap)
     verdict = True
-    for w in sorted(nodes):
+    for w in kappa_closure(u, cap).nodes:
         moved = broken = 0
         for g, mask in generates.items():
             r = conjugate(w, g)
@@ -457,18 +437,14 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
 
     v1, cert1 = cyclic_reduce(u1, cap)
     v2, cert2 = cyclic_reduce(u2, cap)
-    nodes1, parents1 = _closure_search(v1, cap)
-    nodes2, parents2 = _closure_search(v2, cap)
-    low1 = min(x.length for x in nodes1)
-    low2 = min(x.length for x in nodes2)
-    stratum1 = {x for x in nodes1 if x.length == low1}
-    stratum2 = {x for x in nodes2 if x.length == low2}
-
-    common = stratum1 & stratum2
+    closure1 = kappa_closure(v1, cap)
+    closure2 = kappa_closure(v2, cap)
+    stratum2 = set(closure2.min_stratum)
+    common = [x for x in closure1.min_stratum if x in stratum2]
     if common:
-        meeting = min(common)
-        full1 = cert1.then(_path_certificate(v1, parents1, meeting, cap))
-        full2 = cert2.then(_path_certificate(v2, parents2, meeting, cap))
+        meeting = common[0]
+        full1 = cert1.then(_path_certificate(v1, closure1.parents, meeting, cap))
+        full2 = cert2.then(_path_certificate(v2, closure2.parents, meeting, cap))
         return ConjugacyVerdict(
             ConjugacyStatus.CONJUGATE,
             certificates=(full1, full2),
@@ -511,8 +487,7 @@ def is_min_in_conjugacy_class(w: Element, cap: int = DEFAULT_CAP) -> TriState:
     """Minimal length in the conjugacy class: certain when the closure
     shortens (NO), or when w is cyclically reduced with finite order or the
     centralising property (YES); UNKNOWN otherwise."""
-    nodes, _ = _closure_search(w, cap)
-    if min(x.length for x in nodes) < w.length:
+    if not kappa_closure(w, cap).length_preserved:
         return TriState.NO
     if is_finite_order(w, cap) or has_cent_prime(w, cap):
         return TriState.YES

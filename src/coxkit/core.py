@@ -32,7 +32,7 @@ the bytes ordering.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import eq
 from typing import Optional, Sequence, Union
@@ -113,7 +113,7 @@ class CoxeterMatrix:
         object.__setattr__(self, "_single_char", all(len(nm) == 1 for nm in names))
         object.__setattr__(self, "_hash", hash((names, rows)))
         # memo caches shared with sibling modules; never part of equality
-        object.__setattr__(self, "_scratch", {})
+        object.__setattr__(self, "_scratch", defaultdict(dict))
         # for each generator, the smaller ones with a finite order against it
         object.__setattr__(self, "_descent_candidates", tuple(
             tuple(j for j in range(i) if rows[i][j] != INFINITY) for i in range(n)))
@@ -342,10 +342,6 @@ def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, paren
     return seen, None
 
 
-def _cache(matrix, name) -> dict:
-    return matrix._scratch.setdefault(name, {})
-
-
 def _root_table(matrix: CoxeterMatrix) -> dict:
     """The minimal-root transition table, built on first use: root -> row."""
     table = matrix._scratch.get("roots")
@@ -416,7 +412,7 @@ def _shortlex(matrix: CoxeterMatrix, act: dict, word: Word) -> Word:
 def is_reduced(matrix: CoxeterMatrix, word: WordLike) -> bool:
     """Decide reducedness: no letter is deleted while reducing the word."""
     word = matrix.word(word)
-    cache = _cache(matrix, "reduced")
+    cache = matrix._scratch["reduced"]
     hit = cache.get(word)
     if hit is None:
         hit = len(_reduce(_root_table(matrix), word, [])) == len(word)
@@ -428,21 +424,23 @@ def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -
     """The set of words reachable from a reduced word by braid moves.
 
     By Tits' theorem this is exactly the set of reduced words of the element.
+    A memo hit over ``cap`` words is searched again, so it refuses as on a
+    fresh system.
     """
     word = matrix.word(word)
-    classes = _cache(matrix, "class")
+    classes = matrix._scratch["class"]
     hit = classes.get(word)
-    if hit is not None:
+    if hit is not None and len(hit) <= cap:
         return hit
     seen, repeat = _braid_orbit(matrix, word, cap, stop=_has_repeat)
-    reduced = _cache(matrix, "reduced")
+    reduced = matrix._scratch["reduced"]
     if repeat is not None:
         for w in seen:
             reduced[w] = False
         raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
     cls = frozenset(seen)
     if len(seen) <= _MEMBER_CACHE_LIMIT:
-        canon = _cache(matrix, "canon")
+        canon = matrix._scratch["canon"]
         least = min(seen)
         for w in seen:
             reduced[w] = True
@@ -471,7 +469,7 @@ def canonical_word(matrix: CoxeterMatrix, word: WordLike) -> Word:
     """
     if not isinstance(word, bytes):
         word = matrix.word(word)
-    cache = _cache(matrix, "canon")
+    cache = matrix._scratch["canon"]
     canon = cache.get(word)
     if canon is None:
         word = matrix.word(word)  # a miss is validated; every memo key was when stored
@@ -599,7 +597,7 @@ def reduce_word(matrix: CoxeterMatrix, word: WordLike) -> Element:
 
 def multiply(x: Element, y: Element) -> Element:
     matrix = _same_system(x, y)
-    cache = _cache(matrix, "mul")
+    cache = matrix._scratch["mul"]
     key = (x.word, y.word)
     hit = cache.get(key)
     if hit is None:
@@ -609,7 +607,7 @@ def multiply(x: Element, y: Element) -> Element:
 
 
 def inverse(x: Element) -> Element:
-    cache = _cache(x.system, "inv")
+    cache = x.system._scratch["inv"]
     hit = cache.get(x.word)
     if hit is None:
         # the reverse of a reduced word is reduced; only canonicalisation remains
@@ -631,7 +629,7 @@ def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
     """The canonical word of s*v*s for the reduced ``word`` v, memoised per
     system; no search.  Twice, multiply by s on the right (the exchange walk)
     and reverse, which spells the inverse: v -> s v^-1 -> s v s."""
-    cache = _cache(matrix, "shift")
+    cache = matrix._scratch["shift"]
     hit = cache.get((word, s))
     if hit is None:
         act, out = _root_table(matrix), word

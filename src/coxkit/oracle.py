@@ -68,7 +68,7 @@ class GeometricRep:
 
 
 def geometric_rep(matrix: CoxeterMatrix, tolerance: float = DEFAULT_TOLERANCE) -> GeometricRep:
-    cache = matrix._scratch.setdefault("georep", {})
+    cache = matrix._scratch["georep"]
     rep = cache.get(tolerance)
     if rep is None:
         rep = GeometricRep(matrix, tolerance)

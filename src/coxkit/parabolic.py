@@ -165,7 +165,7 @@ def is_spherical(matrix: CoxeterMatrix, subset: Members) -> bool:
     """True iff the subset generates a finite standard parabolic subgroup."""
     members = _members(matrix, subset)
     key = ("spherical", members)
-    cache = matrix._scratch.setdefault("parabolic", {})
+    cache = matrix._scratch["parabolic"]
     hit = cache.get(key)
     if hit is None:
         hit = all(
@@ -188,7 +188,7 @@ def generator_subset(matrix: CoxeterMatrix, subset: Members) -> GeneratorSubset:
 
 def spherical_subsets(matrix: CoxeterMatrix) -> tuple:
     """All spherical subsets of the generators, by size then lexicographically."""
-    cache = matrix._scratch.setdefault("parabolic", {})
+    cache = matrix._scratch["parabolic"]
     hit = cache.get("all_spherical")
     if hit is None:
         out = []

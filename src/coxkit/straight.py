@@ -31,9 +31,9 @@ from .core import (
 )
 from .conjugacy import (
     MoveCertificate,
-    _closure_search,
     _path_certificate,
     is_cyclically_reduced,
+    kappa_closure,
 )
 from .errors import InvariantViolation, NotCFC
 from . import parabolic
@@ -104,18 +104,17 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
     (NonTorsionFreeMember, canonically least failing node); straight
     otherwise.
     """
-    nodes, parents = _closure_search(w, cap)
-    ordered = sorted(nodes)
-    shortest = ordered[0]
-    if shortest.length < w.length:
-        cert = _path_certificate(w, parents, shortest, cap)
+    closure = kappa_closure(w, cap)
+    if not closure.length_preserved:
+        shortest = closure.nodes[0]
+        cert = _path_certificate(w, closure.parents, shortest, cap)
         return StraightnessVerdict(False, ShorterConjugate(shortest, cert))
-    for node in ordered:
+    for node in closure.nodes:
         if not is_cyclically_reduced(node, cap):
             raise InvariantViolation(
                 f"length-preserved closure node {node} is not cyclically reduced"
             )
-    for node in ordered:
+    for node in closure.nodes:
         witness = parabolic.torsion_witness(node)
         if witness is not None:
             return StraightnessVerdict(
@@ -158,8 +157,7 @@ def is_cfc(w: Element, cap: int = DEFAULT_CAP) -> bool:
     cyclic-shift closure is fully commutative."""
     if not is_cyclically_reduced(w, cap):
         return False
-    nodes, _ = _closure_search(w, cap)
-    return all(is_fc(v, cap) for v in nodes)
+    return all(is_fc(v, cap) for v in kappa_closure(w, cap).nodes)
 
 
 def cfc_straight(w: Element, cap: int = DEFAULT_CAP) -> bool:

@@ -7,6 +7,7 @@ from coxkit import (
     ConjugacyStatus,
     TriState,
     are_conjugate,
+    braid_class,
     conjugacy_class_bruteforce,
     conjugate,
     cyclic_reduce,
@@ -25,7 +26,7 @@ from coxkit import (
     rotations,
     spherical_subsets,
 )
-from coxkit.conjugacy import MoveCertificate, _closure_search
+from coxkit.conjugacy import MoveCertificate, _elementary_targets
 from coxkit.core import BraidStep, CoxeterMatrix, RotateStep
 from coxkit.errors import CapExceeded, ReplayError
 
@@ -86,11 +87,14 @@ class TestKappaClosure:
             assert set(kappa_closure(start).nodes) <= cls
 
     def test_edges_replay_as_conjugation(self, a2t):
-        # every edge move conjugates by the rotated prefix
-        closure = kappa_closure(a2t.element("tustuts"))
-        for src, (rho, k), dst in closure.edges:
-            prefix = reduce_word(a2t, rho[:k])
-            assert multiply(multiply(inverse(prefix), src), prefix) == dst
+        # every node's first witness of each target conjugates by the
+        # rotated prefix
+        for src in kappa_closure(a2t.element("tustuts")).nodes:
+            targets, _ = _elementary_targets(src)
+            assert targets
+            for dst, (rho, k) in targets.items():
+                prefix = reduce_word(a2t, rho[:k])
+                assert multiply(multiply(inverse(prefix), src), prefix) == dst
 
     def test_symmetry_on_length_preserved_orbits(self, a2t):
         for text in ("stu", "tustuts", "usts"):
@@ -117,11 +121,56 @@ class TestKappaClosure:
         assert kappa_closure(warm, cap=n) == kappa_closure(warm)
         assert kappa_closure(fresh(), cap=n).nodes == kappa_closure(warm).nodes
 
+    def test_memo_hits_refuse_at_the_fresh_braid_cap(self, a3):
+        # A3's longest element has 16 reduced words and 3 closure nodes; at
+        # cap 15 the braid-move search refuses, so every memo hit must too:
+        # on a fresh system, a warm one, and one with only the moves memoised
+        def fresh():
+            return CoxeterMatrix(a3.names, a3.table).element("s1 s2 s1 s3 s2 s1")
+
+        warm = fresh()
+        closure = kappa_closure(warm)
+        assert len(braid_class(a3, warm.word)) == 16
+        assert len(closure.nodes) == 3
+        moves_only = fresh()
+        for node in closure.nodes:
+            elementary_related(moves_only.system.element(node.word))
+        message = "braid-move orbit exceeded the node cap of 15"
+        for w in (fresh(), warm, moves_only):
+            with pytest.raises(CapExceeded, match=message):
+                kappa_closure(w, cap=15)
+            with pytest.raises(CapExceeded, match=message):
+                braid_class(w.system, w.word, cap=15)
+            assert kappa_closure(w, cap=16) == closure
+            assert len(braid_class(w.system, w.word, cap=16)) == 16
+
+    @pytest.mark.parametrize("word", ["s1 s2 s3", "s2 s1 s3 s2", "s1 s2 s1 s3 s2 s1"])
+    def test_memo_hits_name_the_search_that_refuses(self, a3, word):
+        # s1 s2 s3 has one reduced word but other closure nodes have two, so
+        # at cap 1 a fresh search stops in the closure, not a braid class
+        def refusal(w, cap):
+            try:
+                kappa_closure(w, cap)
+            except CapExceeded as exc:
+                return str(exc)
+
+        warm = a3.element(word)
+        kappa_closure(warm)
+        for cap in range(1, 17):
+            fresh = CoxeterMatrix(a3.names, a3.table).element(word)
+            assert refusal(warm, cap) == refusal(fresh, cap), cap
+        assert refusal(warm, 1).startswith(
+            "cyclic-shift" if word == "s1 s2 s3" else "braid-move")
+
     def test_memoised_closure_is_read_only(self, a2t):
-        nodes, parents = _closure_search(a2t.element("tustuts"))
-        assert isinstance(nodes, frozenset)
+        closure = kappa_closure(a2t.element("tustuts"))
+        assert kappa_closure(a2t.element("tustuts")) is closure
+        other = kappa_closure(CoxeterMatrix(a2t.names, a2t.table).element("tustuts"))
+        assert other == closure and hash(other) == hash(closure)
         with pytest.raises(TypeError):
-            parents[a2t.identity()] = None
+            closure.parents[a2t.identity()] = None
+        with pytest.raises(AttributeError):
+            closure.nodes = ()
 
 
 class TestCyclicReducedness:

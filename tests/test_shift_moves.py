@@ -2,19 +2,20 @@
 check against the engines they replaced.
 
 ``conjugate`` applies one memoised cyclic shift s*v*s per letter instead of
-two products.  ``_elementary_edges`` walks the reduced words one shift per
+two products.  ``_elementary_targets`` walks the reduced words one shift per
 letter, each resuming the shifts of the previous word at their common
-prefix, instead of reducing every rotation; ``_closure_search`` reads only
-the distinct targets of that walk, each with its first witness, instead of
-every move.  ``has_cent_prime`` reads candidate membership of reflection
-images from bitmasks over the candidates' reflection sets instead of
-scanning every candidate subgroup product by product.  All must agree with
-the reference engines in ``helpers`` exactly: conjugates and normaliser
-tests for every pair of elements of at most 3 letters; edge tuples move for
-move, and closure nodes and parents (previous node, reduced word, rotation)
-on every element of the sweep (949 of them); every membership bit against
-the support test; and Cent' verdicts on every cyclically reduced element
-(548 of them; of the 127 false ones, 57 lie in the finite systems).
+prefix, instead of reducing every rotation, and keeps each distinct target
+with its first witness; ``kappa_closure`` searches only those targets
+instead of every move.  ``has_cent_prime`` reads candidate membership of
+reflection images from bitmasks over the candidates' reflection sets instead
+of scanning every candidate subgroup product by product.  All must agree
+with the reference engines in ``helpers`` exactly: conjugates and normaliser
+tests for every pair of elements of at most 3 letters; distinct targets with
+their first witnesses in order of first appearance, and closure nodes and
+parents (previous node, reduced word, rotation) on every element of the
+sweep (949 of them); every membership bit against the support test; and
+Cent' verdicts on every cyclically reduced element (548 of them; of the 127
+false ones, 57 lie in the finite systems).
 """
 
 import itertools
@@ -24,18 +25,19 @@ import pytest
 import helpers
 from coxkit import (
     DEFAULT_CAP,
+    braid_class,
     conjugate,
     enumerate_elements,
     has_cent_prime,
     is_cyclically_reduced,
+    kappa_closure,
     normalises,
     support,
 )
 from coxkit.conjugacy import (
     _cent_prime_candidates,
     _cent_prime_masks,
-    _closure_search,
-    _elementary_edges,
+    _elementary_targets,
 )
 
 # system, longest element length swept
@@ -54,18 +56,23 @@ SYSTEMS = {
 
 
 @pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
-def test_edges_match_reference(matrix, max_len):
+def test_targets_match_reference(matrix, max_len):
     for u in enumerate_elements(matrix, max_len):
-        assert _elementary_edges(u) == helpers.reference_elementary_edges(u), u
+        expected = {}
+        for rho, k, target in helpers.reference_elementary_edges(u):
+            expected.setdefault(target, (rho, k))
+        targets, words = _elementary_targets(u)
+        assert list(targets.items()) == list(expected.items()), u
+        assert words == len(braid_class(matrix, u.word)), u
 
 
 @pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
 def test_closure_parents_match_reference(matrix, max_len):
     for u in enumerate_elements(matrix, max_len):
-        nodes, parents = _closure_search(u)
+        closure = kappa_closure(u)
         ref_nodes, ref_parents = helpers.reference_closure_search(u)
-        assert nodes == ref_nodes, u
-        assert dict(parents) == ref_parents, u
+        assert closure.nodes == tuple(sorted(ref_nodes)), u
+        assert dict(closure.parents) == ref_parents, u
 
 
 @pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
