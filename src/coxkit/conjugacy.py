@@ -18,7 +18,6 @@ the start element to the canonical word of the target.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -40,9 +39,10 @@ from .core import (
     is_reduced,
     reduce_word_with_path,
     support,
+    _search,
     _shift,
 )
-from .errors import CapExceeded, InvariantViolation, ReplayError
+from .errors import InvariantViolation, ReplayError
 from . import oracle, parabolic
 
 
@@ -198,28 +198,23 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
     hit = cache.get(u.word)
     if hit is not None and max(hit[1], len(hit[0].nodes)) <= cap:
         return hit[0]
-    seen = {u}
-    parents = {}
     peak = 0
-    queue = deque([u])
-    while queue:
-        cur = queue.popleft()
-        targets, words = _elementary_targets(cur, cap)
+
+    def moves(v):
+        nonlocal peak
+        targets, words = _elementary_targets(v, cap)
         peak = max(peak, words)
-        for target, (rho, k) in targets.items():
-            if target in seen:
-                continue
-            if len(seen) >= cap:
-                raise CapExceeded(f"cyclic-shift closure exceeded the node cap of {cap}")
-            seen.add(target)
-            parents[target] = (cur, rho, k)
-            queue.append(target)
+        return targets.items()
+
+    parents = {}
+    seen, _ = _search(u, moves, cap, "cyclic-shift closure", parents=parents)
     nodes = tuple(sorted(seen, key=lambda v: (len(v.word), v.word)))
     low = nodes[0].length
     record = KappaClosure(
         start=u,
         nodes=nodes,
-        parents=MappingProxyType(parents),
+        parents=MappingProxyType({v: (prev, rho, k)
+                                  for v, (prev, (rho, k)) in parents.items()}),
         min_length=low,
         min_stratum=tuple(v for v in nodes if v.length == low),
         length_preserved=(low == u.length),
@@ -256,17 +251,17 @@ def _path_certificate(start: Element, parents: dict, target: Element,
 
 
 def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
-    """Every rotation of every reduced word of w stays reduced."""
+    """Every rotation of every reduced word of w stays reduced.  Memoised per
+    system with the number of reduced words; a hit over ``cap`` words goes
+    back through :func:`braid_class`, so it refuses as on a fresh system."""
     cache = w.system._scratch["cyclically_reduced"]
     hit = cache.get(w.word)
-    if hit is None:
-        hit = all(
-            is_reduced(w.system, sigma)
-            for rho in sorted(braid_class(w.system, w.word, cap))
-            for sigma in rotations(rho)
-        )
-        cache[w.word] = hit
-    return hit
+    if hit is None or hit[1] > cap:
+        words = braid_class(w.system, w.word, cap)
+        verdict = all(is_reduced(w.system, sigma)
+                      for rho in sorted(words) for sigma in rotations(rho))
+        hit = cache[w.word] = (verdict, len(words))
+    return hit[0]
 
 
 def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
@@ -368,13 +363,7 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     """
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
-    matrix = u.system
-    cache = matrix._scratch["cent_prime"]
-    hit = cache.get(u.word)
-    if hit is not None:
-        return hit
-    generates, members = _cent_prime_masks(matrix, cap)
-    verdict = True
+    generates, members = _cent_prime_masks(u.system, cap)
     for w in kappa_closure(u, cap).nodes:
         moved = broken = 0
         for g, mask in generates.items():
@@ -383,10 +372,8 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
                 moved |= mask
                 broken |= mask & ~members.get(r, 0)
         if moved & ~broken:
-            verdict = False
-            break
-    cache[u.word] = verdict
-    return verdict
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ forms come from the table of minimal roots of Brink and Howlett (see
 So the word layer (``canonical_word``, ``is_reduced``, products, inverses,
 descents, and conjugates, built one cyclic shift s*v*s at a time by
 ``_shift``) never searches and takes no node cap.  Braid classes, commutation
-classes and braid-move paths are found by one breadth-first search of the
-graph of braid moves, ``_braid_orbit`` (Tits: two reduced words spell the same
-element iff braid moves connect them); it carries a node cap, and exceeding it
-raises CapExceeded rather than returning a guess.
+classes and braid-move paths are found by searching the graph of braid moves,
+``_braid_orbit`` (Tits: two reduced words spell the same element iff braid
+moves connect them).  That search, the cyclic-shift closure and element
+enumeration are all ``_search``, one capped breadth-first search and the only
+place the node cap is checked: exceeding it raises CapExceeded rather than
+returning a guess.
 All values are immutable after construction; the per-system dictionaries on
 :class:`CoxeterMatrix` are memo caches only.
 
@@ -302,44 +304,54 @@ def _has_repeat(word: Word) -> bool:
     return any(map(eq, word, word[1:]))
 
 
-def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, parents=None):
-    """Breadth-first search of the braid-move orbit of ``word``.
+def _search(start, moves, cap, what, *, stop=None, parents=None):
+    """Breadth-first search from ``start``, the one search behind braid
+    classes, cyclic-shift closures, element enumeration and diagram
+    components.
 
-    Returns ``(seen, hit)``: ``hit`` is the first word, in order of discovery
-    and the start word included, for which ``stop`` holds; the search ends
-    there.  Without such a word the orbit is exhausted and ``hit`` is None.
-    ``parents`` (when given) collects first-discovery back-pointers
-    ``word -> (previous word, position of the move)``.  More than ``cap``
-    words raise CapExceeded.
+    ``moves(node)`` yields ``(next, back)`` pairs.  Returns ``(seen, hit)``:
+    ``hit`` is the first node, in order of discovery and ``start`` included,
+    for which ``stop`` holds; the search ends there.  Without such a node the
+    orbit is exhausted and ``hit`` is None.  ``parents`` (when given) collects
+    first-discovery back-pointers ``next -> (node, back)``.  More than ``cap``
+    nodes raise CapExceeded naming ``what``.
     """
-    if stop is not None and stop(word):
-        return {word}, word
-    seen = {word}
-    queue = deque([word])
-    table = matrix.table
-    alternating = _alternating
+    if stop is not None and stop(start):
+        return {start}, start
+    seen = {start}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
+        for nxt, back in moves(cur):
+            if nxt in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceeded(f"{what} exceeded the node cap of {cap}")
+            seen.add(nxt)
+            if parents is not None:
+                parents[nxt] = (cur, back)
+            if stop is not None and stop(nxt):
+                return seen, nxt
+            queue.append(nxt)
+    return seen, None
+
+
+def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, parents=None):
+    """:func:`_search` of the braid-move orbit of ``word``; ``parents`` maps a
+    word to ``(previous word, position of the move)``."""
+    table = matrix.table
+
+    def moves(cur):
         n = len(cur)
         for pos in range(n - 1):
             a, b = cur[pos], cur[pos + 1]
             m = table[a][b]
             if m == INFINITY or pos + m > n or (commutations_only and m != 2):
                 continue
-            if cur[pos : pos + m] != alternating(a, b, m):
-                continue
-            nxt = cur[:pos] + alternating(b, a, m) + cur[pos + m :]
-            if nxt in seen:
-                continue
-            if len(seen) >= cap:
-                raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
-            seen.add(nxt)
-            if parents is not None:
-                parents[nxt] = (cur, pos)
-            if stop is not None and stop(nxt):
-                return seen, nxt
-            queue.append(nxt)
-    return seen, None
+            if cur[pos : pos + m] == _alternating(a, b, m):
+                yield cur[:pos] + _alternating(b, a, m) + cur[pos + m :], pos
+
+    return _search(word, moves, cap, "braid-move orbit", stop=stop, parents=parents)
 
 
 def _root_table(matrix: CoxeterMatrix) -> dict:
@@ -597,23 +609,12 @@ def reduce_word(matrix: CoxeterMatrix, word: WordLike) -> Element:
 
 def multiply(x: Element, y: Element) -> Element:
     matrix = _same_system(x, y)
-    cache = matrix._scratch["mul"]
-    key = (x.word, y.word)
-    hit = cache.get(key)
-    if hit is None:
-        hit = canonical_word(matrix, x.word + y.word)
-        cache[key] = hit
-    return Element(matrix, hit)
+    return Element(matrix, canonical_word(matrix, x.word + y.word))
 
 
 def inverse(x: Element) -> Element:
-    cache = x.system._scratch["inv"]
-    hit = cache.get(x.word)
-    if hit is None:
-        # the reverse of a reduced word is reduced; only canonicalisation remains
-        hit = canonical_word(x.system, x.word[::-1])
-        cache[x.word] = hit
-    return Element(x.system, hit)
+    # the reverse of a reduced word is reduced; only canonicalisation remains
+    return Element(x.system, canonical_word(x.system, x.word[::-1]))
 
 
 def power(x: Element, n: int) -> Element:

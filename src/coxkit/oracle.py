@@ -25,6 +25,7 @@ from .core import (
     CoxeterMatrix,
     Element,
     WordLike,
+    _search,
     conjugate,
     multiply,
 )
@@ -111,30 +112,22 @@ def enumerate_elements(matrix: CoxeterMatrix, max_len: Optional[int], *,
     """All elements of length <= max_len, canonically ordered.
 
     Breadth-first right multiplication with canonical-form deduplication.
-    ``max_len=None`` runs until the frontier empties, so it returns the whole
-    group for finite systems (and raises CapExceeded for infinite ones).
+    ``max_len=None`` bounds no length, so it returns the whole group for
+    finite systems (and raises CapExceeded for infinite ones).
     ``letters`` restricts multiplication to a generator subset, enumerating
     the standard parabolic subgroup it generates.
     """
     gens = sorted(letters) if letters is not None else range(matrix.rank)
     gens = [matrix.generator(i) for i in gens]
-    identity = matrix.identity()
-    seen = {identity}
-    frontier = [identity]
-    depth = 0
-    while frontier and (max_len is None or depth < max_len):
-        grown = []
-        for x in frontier:
+
+    def moves(x):
+        if max_len is None or x.length < max_len:
             for g in gens:
                 y = multiply(x, g)
-                if y.length == x.length + 1 and y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"element enumeration exceeded the node cap of {cap}")
-                    seen.add(y)
-                    grown.append(y)
-        grown.sort()
-        frontier = grown
-        depth += 1
+                if y.length > x.length:
+                    yield y, g
+
+    seen, _ = _search(matrix.identity(), moves, cap, "element enumeration")
     return tuple(sorted(seen))
 
 

@@ -29,6 +29,7 @@ from .core import (
     INFINITY,
     CoxeterMatrix,
     Element,
+    _search,
     conjugate,
     inverse,
     left_descents,
@@ -70,22 +71,16 @@ class GeneratorSubset:
 
 def diagram_components(matrix: CoxeterMatrix, subset: Members) -> tuple:
     """Partition into diagram-connected pieces (edges where m(s,t) != 2)."""
-    members = _members(matrix, subset)
-    remaining = set(members)
+    remaining = set(_members(matrix, subset))
+
+    def neighbours(i):
+        return ((j, None) for j in remaining if matrix.m(i, j) != 2)
+
     components = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in remaining - comp:
-                if matrix.m(i, j) != 2:
-                    comp.add(j)
-                    frontier.append(j)
+    while remaining:  # the seeds rise, so components come ordered by least member
+        comp, _ = _search(min(remaining), neighbours, INFINITY, "diagram search")
         components.append(frozenset(comp))
         remaining -= comp
-    components.sort(key=min)
     return tuple(components)
 
 

@@ -162,6 +162,26 @@ class TestKappaClosure:
         assert refusal(warm, 1).startswith(
             "cyclic-shift" if word == "s1 s2 s3" else "braid-move")
 
+    @pytest.mark.parametrize("check", [is_cyclically_reduced, has_cent_prime])
+    def test_verdict_memos_refuse_at_the_fresh_cap(self, a2t, check):
+        # tustuts has 3 reduced words: at cap 2 a fresh call refuses in the
+        # braid-move search, so a verdict given once at the default cap must too
+        def refusal(w, cap):
+            try:
+                return check(w, cap)
+            except CapExceeded as exc:
+                return str(exc)
+
+        def fresh():
+            return CoxeterMatrix(a2t.names, a2t.table).element("tustuts")
+
+        warm = fresh()
+        assert check(warm) is True
+        for cap in range(1, 9):
+            assert refusal(warm, cap) == refusal(fresh(), cap), cap
+        assert refusal(warm, 2) == "braid-move orbit exceeded the node cap of 2"
+        assert refusal(warm, 6) is True
+
     def test_memoised_closure_is_read_only(self, a2t):
         closure = kappa_closure(a2t.element("tustuts"))
         assert kappa_closure(a2t.element("tustuts")) is closure

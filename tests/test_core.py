@@ -18,6 +18,7 @@ from coxkit import (
     right_descents,
     support,
 )
+from coxkit.core import _search
 from coxkit.errors import CapExceeded, MalformedMatrix, NotReduced, WordSyntaxError
 
 
@@ -97,6 +98,30 @@ class TestWordSyntax:
         for word in bad:
             with pytest.raises(WordSyntaxError, match="invalid generator index"):
                 canonical_word(matrix, word)
+
+
+class TestSearch:
+    """The one capped breadth-first search, on the integers mod 10 with steps
+    of +1 and +3, each move named by its step."""
+
+    @staticmethod
+    def moves(i):
+        return ((i + 1) % 10, 1), ((i + 3) % 10, 3)
+
+    def test_orbit_and_first_discovery_parents(self):
+        parents = {}
+        seen, hit = _search(0, self.moves, 10, "test orbit", parents=parents)
+        assert seen == set(range(10)) and hit is None
+        assert parents[1] == (0, 1) and parents[3] == (0, 3) and parents[4] == (1, 3)
+        assert 0 not in parents
+
+    def test_more_than_cap_nodes_refuse(self):
+        with pytest.raises(CapExceeded, match="^test orbit exceeded the node cap of 9$"):
+            _search(0, self.moves, 9, "test orbit")
+
+    def test_stop_is_tested_on_discovery(self):
+        assert _search(0, self.moves, 1, "test orbit", stop=(0).__eq__) == ({0}, 0)
+        assert _search(0, self.moves, 10, "test orbit", stop=(4).__eq__) == ({0, 1, 2, 3, 4}, 4)
 
 
 class TestBraidClass:

@@ -98,6 +98,18 @@ class TestEnumeration:
     def test_lengths_respect_bound(self, a2t):
         assert all(e.length <= 5 for e in enumerate_elements(a2t, 5))
 
+    @pytest.mark.parametrize("max_len, letters, size", [
+        (None, None, 24),      # the whole of A3
+        (None, {0, 1}, 6),     # the parabolic subgroup <s1, s2>
+        (2, None, 9),          # lengths 0, 1 and 2
+    ])
+    def test_cap_boundary(self, a3, max_len, letters, size):
+        # the cap counts every element found, the identity included
+        assert len(enumerate_elements(a3, max_len, cap=size, letters=letters)) == size
+        with pytest.raises(CapExceeded) as refused:
+            enumerate_elements(a3, max_len, cap=size - 1, letters=letters)
+        assert str(refused.value) == f"element enumeration exceeded the node cap of {size - 1}"
+
 
 class TestBruteForceClasses:
     def test_identity_class(self, a3):
