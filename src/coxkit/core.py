@@ -14,14 +14,15 @@ forms come from the table of minimal roots of Brink and Howlett (see
     the least left descent again and again.
 
 So the word layer (``canonical_word``, ``is_reduced``, products, inverses,
-descents, and conjugates, built one cyclic shift s*v*s at a time by
-``_shift``) never searches and takes no node cap.  Braid classes, commutation
-classes and braid-move paths are found by searching the graph of braid moves,
-``_braid_orbit`` (Tits: two reduced words spell the same element iff braid
-moves connect them).  That search, the cyclic-shift closure and element
-enumeration are all ``_search``, one capped breadth-first search and the only
-place the node cap is checked: exceeding it raises CapExceeded rather than
-returning a guess.
+descents, and conjugates, built by ``_conjugate_word`` one cyclic shift
+s*v*s at a time through ``_shift``) never searches and takes no node cap.
+Braid classes, commutation classes and braid-move paths are found by
+searching the graph of braid moves, ``_braid_orbit`` (Tits: two reduced words
+spell the same element iff braid moves connect them), which reads each pair's
+two relation words from a table built with the system.  That search, the
+cyclic-shift closure and element enumeration are all ``_search``, one capped
+breadth-first search and the only place the node cap is checked: exceeding
+it raises CapExceeded rather than returning a guess.
 All values are immutable after construction; the per-system dictionaries on
 :class:`CoxeterMatrix` are memo caches only.
 
@@ -62,6 +63,18 @@ Word = bytes
 WordLike = Union[str, bytes, Sequence[int]]
 
 
+# braid relations up to this order are spelled out once per system; longer
+# ones, when a word is long enough to hold one, so that a huge order costs
+# no memory until a word of that length does
+_SPELLED_ORDER_LIMIT = 64
+
+
+def _relation_words(a: int, b: int, m: int) -> tuple:
+    """The two sides abab... and baba... of the braid relation, m letters each."""
+    pattern = bytes((a, b)) * (m // 2 + 1)
+    return pattern[:m], pattern[1 : m + 1]
+
+
 def _check_order(value) -> bool:
     if value == INFINITY:
         return True
@@ -78,7 +91,7 @@ class CoxeterMatrix:
     """
 
     __slots__ = ("names", "table", "_index", "_single_char", "_hash", "_scratch",
-                 "_descent_candidates")
+                 "_descent_candidates", "_braids")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence]) -> None:
         names = tuple(names)
@@ -119,6 +132,17 @@ class CoxeterMatrix:
         # for each generator, the smaller ones with a finite order against it
         object.__setattr__(self, "_descent_candidates", tuple(
             tuple(j for j in range(i) if rows[i][j] != INFINITY) for i in range(n)))
+        # braid relation of each ordered pair (a, b): (m, abab..., baba...),
+        # both words of m letters (None above _SPELLED_ORDER_LIMIT), or None
+        # when a == b or m is infinite
+        braids = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                m = rows[a][b]
+                if m != INFINITY:
+                    ab, ba = _relation_words(a, b, m) if m <= _SPELLED_ORDER_LIMIT else (None, None)
+                    braids[a][b], braids[b][a] = (m, ab, ba), (m, ba, ab)
+        object.__setattr__(self, "_braids", tuple(map(tuple, braids)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoxeterMatrix is immutable")
@@ -259,17 +283,6 @@ class CancelStep:
 
 Step = Union[BraidStep, RotateStep, CancelStep]
 
-_ALT_MEMO = {}
-
-
-def _alternating(a: int, b: int, m: int) -> Word:
-    pattern = _ALT_MEMO.get((a, b, m))
-    if pattern is None:
-        pattern = bytes((a if i % 2 == 0 else b) for i in range(m))
-        _ALT_MEMO[(a, b, m)] = pattern
-    return pattern
-
-
 def apply_step(matrix: CoxeterMatrix, word: Word, step: Step) -> Word:
     """Apply one move to a word, validating its applicability."""
     if isinstance(step, BraidStep):
@@ -277,14 +290,17 @@ def apply_step(matrix: CoxeterMatrix, word: Word, step: Step) -> Word:
         generators = range(matrix.rank)
         if a == b or a not in generators or b not in generators:
             raise ReplayError(f"braid pair {step.pair!r} is not two distinct generators")
-        m = matrix.m(a, b)
-        if m == INFINITY:
+        braid = matrix._braids[a][b]
+        if braid is None:
             raise ReplayError(
                 f"no braid relation between {matrix.names[a]} and {matrix.names[b]}"
             )
-        if step.pos < 0 or word[step.pos : step.pos + m] != _alternating(a, b, m):
+        m, ab, ba = braid
+        if ab is None:
+            ab, ba = _relation_words(a, b, m)
+        if step.pos < 0 or word[step.pos : step.pos + m] != ab:
             raise ReplayError(f"braid move does not apply at position {step.pos}")
-        return word[: step.pos] + _alternating(b, a, m) + word[step.pos + m :]
+        return word[: step.pos] + ba + word[step.pos + m :]
     if isinstance(step, RotateStep):
         if word != step.word:
             raise ReplayError("rotation applied to an unexpected word")
@@ -339,17 +355,21 @@ def _search(start, moves, cap, what, *, stop=None, parents=None):
 def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, parents=None):
     """:func:`_search` of the braid-move orbit of ``word``; ``parents`` maps a
     word to ``(previous word, position of the move)``."""
-    table = matrix.table
+    braids = matrix._braids
 
     def moves(cur):
         n = len(cur)
         for pos in range(n - 1):
-            a, b = cur[pos], cur[pos + 1]
-            m = table[a][b]
-            if m == INFINITY or pos + m > n or (commutations_only and m != 2):
+            braid = braids[cur[pos]][cur[pos + 1]]
+            if braid is None:
                 continue
-            if cur[pos : pos + m] == _alternating(a, b, m):
-                yield cur[:pos] + _alternating(b, a, m) + cur[pos + m :], pos
+            m, ab, ba = braid
+            if pos + m > n or (commutations_only and m != 2):
+                continue
+            if ab is None:
+                ab, ba = _relation_words(cur[pos], cur[pos + 1], m)
+            if cur[pos : pos + m] == ab:
+                yield cur[:pos] + ba + cur[pos + m :], pos
 
     return _search(word, moves, cap, "braid-move orbit", stop=stop, parents=parents)
 
@@ -641,13 +661,19 @@ def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
     return hit
 
 
+def _conjugate_word(matrix: CoxeterMatrix, v_word: Word, x_word: Word) -> Word:
+    """The canonical word of v x v^-1 for the canonical words of v and x:
+    a_1(...(a_l x a_l)...)a_1 for v = a_1...a_l, one shift per letter from
+    the right."""
+    for s in reversed(v_word):
+        x_word = _shift(matrix, x_word, s)
+    return x_word
+
+
 def conjugate(v: Element, x: Element) -> Element:
-    """v x v^-1 = a_1(...(a_l x a_l)...)a_1 for v = a_1...a_l, one shift per letter."""
+    """v x v^-1, by :func:`_conjugate_word`."""
     matrix = _same_system(v, x)
-    word = x.word
-    for s in reversed(v.word):
-        word = _shift(matrix, word, s)
-    return Element(matrix, word)
+    return Element(matrix, _conjugate_word(matrix, v.word, x.word))
 
 
 def _descents(matrix: CoxeterMatrix, word: Word) -> frozenset:

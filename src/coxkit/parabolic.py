@@ -13,7 +13,9 @@ w = w_I * n_I with I spherical, w_I a nontrivial element of W_I and n_I
 normalising W_I.  Because the normaliser of a spherical W_I splits as
 W_I x| N_I with additive lengths, this is equivalent to the scan implemented
 by :func:`torsion_witness`: no spherical I is normalised by w while meeting
-the left descents of w.
+the left descents of w.  w normalises W_I iff supp(w s_i w^-1) lies in I for
+every i in I, so the scan conjugates each generator by w at most once and
+reads every subset's test off the supports of those images.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     INFINITY,
     CoxeterMatrix,
     Element,
+    _conjugate_word,
     _search,
     conjugate,
     inverse,
@@ -202,13 +205,22 @@ def element_of_parabolic(w: Element, subset: Members) -> bool:
     return support(w) <= _members(w.system, subset)
 
 
+def _normalised_by(matrix: CoxeterMatrix, word: bytes, members: frozenset, images: dict) -> bool:
+    """Whether the element w with canonical word ``word`` normalises W_I:
+    supp(w s_i w^-1) lies in I for every i in I, tested in increasing order.
+    ``images`` maps each generator already conjugated by w to that support."""
+    for i in sorted(members):
+        image = images.get(i)
+        if image is None:
+            image = images[i] = frozenset(_conjugate_word(matrix, word, bytes((i,))))
+        if not image <= members:
+            return False
+    return True
+
+
 def normalises(w: Element, subset: Members) -> bool:
     """True iff conjugation by w keeps every generator of the subset in W_I."""
-    members = _members(w.system, subset)
-    return all(
-        support(conjugate(w, w.system.generator(i))) <= members
-        for i in sorted(members)
-    )
+    return _normalised_by(w.system, w.word, _members(w.system, subset), {})
 
 
 def centralises(w: Element, generators: Iterable[Element]) -> bool:
@@ -259,13 +271,16 @@ def torsion_witness(w: Element) -> Optional[frozenset]:
 
     The scan ranges over every spherical I (not only subsets of the support):
     the first I, in canonical order, that w normalises while having a left
-    descent inside it.
+    descent inside it.  w normalises W_I iff supp(w s_i w^-1) lies in I for
+    every i in I; the subsets share those supports, so each generator is
+    conjugated by w at most once, when a subset first tests it.
     """
     lds = left_descents(w)
     if not lds:
         return None
+    images = {}
     for members in spherical_subsets(w.system):
-        if members and (lds & members) and normalises(w, members):
+        if members and (lds & members) and _normalised_by(w.system, w.word, members, images):
             return members
     return None
 

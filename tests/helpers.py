@@ -8,8 +8,9 @@ and must still match: separate breadth-first searches over explicit
 braid-move steps, which the engine's one orbit search must match move for
 move; conjugation as two products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
-candidate subgroup one product at a time; and candidate membership by the
-support test.
+candidate subgroup one product at a time; candidate membership by the
+support test; and the torsion scan that conjugates a subset's generators
+afresh for every subset it tests.
 """
 
 import itertools
@@ -27,8 +28,10 @@ from coxkit import (
     centralises,
     inverse,
     is_cyclically_reduced,
+    left_descents,
     multiply,
     reduce_word,
+    spherical_subsets,
     support,
 )
 from coxkit.conjugacy import _cent_prime_candidates
@@ -304,3 +307,31 @@ def reference_has_cent_prime(u, cap=DEFAULT_CAP):
                 if not centralises(w, gens):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference torsion scan
+
+
+def reference_normalises(w, members, conjugated=None):
+    """Whether w normalises W_I: every generator of I, in increasing order,
+    conjugated by two products, stays in W_I.  Each conjugated generator is
+    appended to ``conjugated`` when given."""
+    for i in sorted(members):
+        if conjugated is not None:
+            conjugated.append(i)
+        if not support(reference_conjugate(w, w.system.generator(i))) <= members:
+            return False
+    return True
+
+
+def reference_torsion_witness(w, conjugated=None):
+    """The first spherical I, in canonical order, that meets the left
+    descents of w and that w normalises, testing each subset on its own."""
+    lds = left_descents(w)
+    if not lds:
+        return None
+    for members in spherical_subsets(w.system):
+        if members and (lds & members) and reference_normalises(w, members, conjugated):
+            return members
+    return None

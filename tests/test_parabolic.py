@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from coxkit import (
     inverse,
     is_spherical,
     is_torsion_free,
+    left_descents,
     min_coset_rep,
     multiply,
     normaliser_decomposition,
@@ -24,6 +26,7 @@ from coxkit import (
     support,
     torsion_witness,
 )
+from coxkit import parabolic
 from coxkit.errors import CapExceeded, NotNormalising, NotSpherical
 
 INF = helpers.INF
@@ -233,6 +236,37 @@ class TestTorsionFreeness:
 
     def test_identity_is_torsion_free(self, a2t):
         assert is_torsion_free(a2t.identity())
+
+    def test_each_generator_conjugated_at_most_once(self, monkeypatch):
+        """The scan conjugates every generator it tests once, however many
+        subsets test it, and exactly the generators that a subset-by-subset
+        scan conjugates, on every node of the affine A3 of at most 6 letters
+        whose left descents meet three or more spherical subsets and on
+        which that scan conjugates some generator more than once."""
+        matrix = helpers.A3T
+        conjugated = Counter()
+
+        def counting(m, v_word, x_word):
+            conjugated[x_word] += 1
+            return original(m, v_word, x_word)
+
+        original = parabolic._conjugate_word
+        monkeypatch.setattr(parabolic, "_conjugate_word", counting)
+        nodes = 0
+        for w in enumerate_elements(matrix, 6):
+            lds = left_descents(w)
+            if sum(1 for members in spherical_subsets(matrix) if members & lds) < 3:
+                continue
+            requested = []
+            expected = helpers.reference_torsion_witness(w, requested)
+            if max(Counter(requested).values()) < 2:
+                continue
+            nodes += 1
+            conjugated.clear()
+            assert torsion_witness(w) == expected, w
+            assert set(conjugated.values()) == {1}, w
+            assert set(conjugated) == {bytes((i,)) for i in requested}, w
+        assert nodes > 100
 
 
 class TestClosureAndComponents:

@@ -2,7 +2,9 @@
 check against the engines they replaced.
 
 ``conjugate`` applies one memoised cyclic shift s*v*s per letter instead of
-two products.  ``_elementary_targets`` walks the reduced words one shift per
+two products; ``torsion_witness`` reads each subset's normaliser test off
+the supports of the generators' conjugates, each computed at most once,
+instead of conjugating a subset's generators afresh for every subset.  ``_elementary_targets`` walks the reduced words one shift per
 letter, each resuming the shifts of the previous word at their common
 prefix, instead of reducing every rotation, and keeps each distinct target
 with its first witness; ``kappa_closure`` searches only those targets
@@ -33,12 +35,14 @@ from coxkit import (
     kappa_closure,
     normalises,
     support,
+    torsion_witness,
 )
 from coxkit.conjugacy import (
     _cent_prime_candidates,
     _cent_prime_masks,
     _elementary_targets,
 )
+from coxkit.core import _conjugate_word
 
 # system, longest element length swept
 SYSTEMS = {
@@ -121,12 +125,30 @@ def test_conjugate_and_normalises_match_reference(matrix):
     for v in elements:
         for x in elements:
             assert conjugate(v, x) == helpers.reference_conjugate(v, x), (v, x)
+            assert _conjugate_word(matrix, v.word, x.word) == conjugate(v, x).word, (v, x)
         for members in subsets:
             expected = all(
                 support(helpers.reference_conjugate(v, matrix.generator(i))) <= members
                 for i in members
             )
             assert normalises(v, members) == expected, (v, members)
+
+
+# system, longest element length swept by the torsion scan
+TORSION_SYSTEMS = {
+    **{key: (matrix, 8) for key, matrix in CONJUGATION_SYSTEMS.items()},
+    "A3~": (helpers.A3T, 6),
+}
+
+
+@pytest.mark.parametrize("matrix, max_len", TORSION_SYSTEMS.values(), ids=TORSION_SYSTEMS.keys())
+def test_torsion_witness_matches_reference(matrix, max_len):
+    witnesses = set()
+    for w in enumerate_elements(matrix, max_len):
+        witness = torsion_witness(w)
+        assert witness == helpers.reference_torsion_witness(w), w
+        witnesses.add(witness)
+    assert None in witnesses and len(witnesses) > 2
 
 
 def test_cross_system_conjugation_rejected():
