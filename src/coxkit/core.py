@@ -18,8 +18,7 @@ descents, and conjugates, built by ``_conjugate_word`` one cyclic shift
 s*v*s at a time through ``_shift``) never searches and takes no node cap.
 Braid classes, commutation classes and braid-move paths are found by
 searching the graph of braid moves, ``_braid_orbit`` (Tits: two reduced words
-spell the same element iff braid moves connect them), which reads each pair's
-two relation words from a table built with the system.  That search, the
+spell the same element iff braid moves connect them).  That search, the
 cyclic-shift closure and element enumeration are all ``_search``, one capped
 breadth-first search and the only place the node cap is checked: exceeding
 it raises CapExceeded rather than returning a guess.
@@ -63,18 +62,6 @@ Word = bytes
 WordLike = Union[str, bytes, Sequence[int]]
 
 
-# braid relations up to this order are spelled out once per system; longer
-# ones, when a word is long enough to hold one, so that a huge order costs
-# no memory until a word of that length does
-_SPELLED_ORDER_LIMIT = 64
-
-
-def _relation_words(a: int, b: int, m: int) -> tuple:
-    """The two sides abab... and baba... of the braid relation, m letters each."""
-    pattern = bytes((a, b)) * (m // 2 + 1)
-    return pattern[:m], pattern[1 : m + 1]
-
-
 def _check_order(value) -> bool:
     if value == INFINITY:
         return True
@@ -91,7 +78,7 @@ class CoxeterMatrix:
     """
 
     __slots__ = ("names", "table", "_index", "_single_char", "_hash", "_scratch",
-                 "_descent_candidates", "_braids")
+                 "_descent_candidates")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence]) -> None:
         names = tuple(names)
@@ -132,17 +119,6 @@ class CoxeterMatrix:
         # for each generator, the smaller ones with a finite order against it
         object.__setattr__(self, "_descent_candidates", tuple(
             tuple(j for j in range(i) if rows[i][j] != INFINITY) for i in range(n)))
-        # braid relation of each ordered pair (a, b): (m, abab..., baba...),
-        # both words of m letters (None above _SPELLED_ORDER_LIMIT), or None
-        # when a == b or m is infinite
-        braids = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                m = rows[a][b]
-                if m != INFINITY:
-                    ab, ba = _relation_words(a, b, m) if m <= _SPELLED_ORDER_LIMIT else (None, None)
-                    braids[a][b], braids[b][a] = (m, ab, ba), (m, ba, ab)
-        object.__setattr__(self, "_braids", tuple(map(tuple, braids)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoxeterMatrix is immutable")
@@ -290,17 +266,16 @@ def apply_step(matrix: CoxeterMatrix, word: Word, step: Step) -> Word:
         generators = range(matrix.rank)
         if a == b or a not in generators or b not in generators:
             raise ReplayError(f"braid pair {step.pair!r} is not two distinct generators")
-        braid = matrix._braids[a][b]
-        if braid is None:
+        m = matrix.m(a, b)
+        if m == INFINITY:
             raise ReplayError(
                 f"no braid relation between {matrix.names[a]} and {matrix.names[b]}"
             )
-        m, ab, ba = braid
-        if ab is None:
-            ab, ba = _relation_words(a, b, m)
-        if step.pos < 0 or word[step.pos : step.pos + m] != ab:
-            raise ReplayError(f"braid move does not apply at position {step.pos}")
-        return word[: step.pos] + ba + word[step.pos + m :]
+        pos = step.pos
+        if (pos < 0 or pos + m > len(word) or word[pos] != a or word[pos + 1] != b
+                or word[pos + 2 : pos + m] != word[pos : pos + m - 2]):
+            raise ReplayError(f"braid move does not apply at position {pos}")
+        return word[:pos] + word[pos + 1 : pos + m] + word[pos + m - 2 : pos + m - 1] + word[pos + m :]
     if isinstance(step, RotateStep):
         if word != step.word:
             raise ReplayError("rotation applied to an unexpected word")
@@ -355,21 +330,21 @@ def _search(start, moves, cap, what, *, stop=None, parents=None):
 def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, parents=None):
     """:func:`_search` of the braid-move orbit of ``word``; ``parents`` maps a
     word to ``(previous word, position of the move)``."""
-    braids = matrix._braids
+    table = matrix.table
 
     def moves(cur):
         n = len(cur)
         for pos in range(n - 1):
-            braid = braids[cur[pos]][cur[pos + 1]]
-            if braid is None:
+            m = table[cur[pos]][cur[pos + 1]]
+            # m is 1 on a repeated letter, and an infinite m never fits
+            if m == 1 or pos + m > n or (commutations_only and m != 2):
                 continue
-            m, ab, ba = braid
-            if pos + m > n or (commutations_only and m != 2):
-                continue
-            if ab is None:
-                ab, ba = _relation_words(cur[pos], cur[pos + 1], m)
-            if cur[pos : pos + m] == ab:
-                yield cur[:pos] + ba + cur[pos + m :], pos
+            # the m letters from pos alternate when each repeats the one two
+            # places back; the move reads them from pos + 1, then repeats the
+            # second-to-last
+            if cur[pos + 2 : pos + m] == cur[pos : pos + m - 2]:
+                swapped = cur[pos + 1 : pos + m] + cur[pos + m - 2 : pos + m - 1]
+                yield cur[:pos] + swapped + cur[pos + m :], pos
 
     return _search(word, moves, cap, "braid-move orbit", stop=stop, parents=parents)
 

@@ -84,19 +84,23 @@ def test_cap_refuses_at_the_reference_count():
     assert _refuses(pairs[0][0], 15) and not _refuses(pairs[0][0], 16)
 
 
-def test_long_braid_relations_are_spelled_on_demand():
-    # orders above the table's spelling limit: the relation words are built
-    # when a word is long enough to hold them, and a huge order costs nothing
+def test_braid_relations_of_every_order():
+    # the relation words are never spelled out, so a huge order costs nothing
     huge = CoxeterMatrix.from_pairs("st", {("s", "t"): 10**18})
     assert braid_class(huge, "stst") == {huge.word("stst")}
-    for m in (64, 65, 100):
+    for m in (2, 3, 7, 64, 65, 100):
         dihedral = CoxeterMatrix.from_pairs("st", {("s", "t"): m})
         st = bytes(i % 2 for i in range(m))
         ts = bytes(1 - i % 2 for i in range(m))
         assert braid_class(dihedral, st) == {st, ts} == helpers.naive_braid_orbit(dihedral, st)
         assert apply_step(dihedral, st, BraidStep(0, (0, 1))) == ts
         assert apply_step(dihedral, ts, BraidStep(0, (1, 0))) == st
-        with pytest.raises(ReplayError, match="does not apply at position 1"):
-            apply_step(dihedral, b"\x00" + st, BraidStep(1, (1, 0)))
+        for word, step in ((ts, BraidStep(0, (0, 1))), (st[:-1], BraidStep(0, (0, 1))),
+                           (b"\x00" + st, BraidStep(1, (1, 0)))):
+            with pytest.raises(ReplayError, match="does not apply at position"):
+                apply_step(dihedral, word, step)
         with pytest.raises(NotReduced):
             braid_class(dihedral, st + b"\x01")
+        # a repeated letter is no braid move: t s s ... is not t t s ...
+        with pytest.raises(ValueError, match="not braid-related"):
+            braid_word_path(dihedral, ts[:1] + st[:1] + st, ts[:1] * 2 + st)

@@ -4,9 +4,10 @@ check against the engines they replaced.
 ``conjugate`` applies one memoised cyclic shift s*v*s per letter instead of
 two products; ``torsion_witness`` reads each subset's normaliser test off
 the supports of the generators' conjugates, each computed at most once,
-instead of conjugating a subset's generators afresh for every subset.  ``_elementary_targets`` walks the reduced words one shift per
-letter, each resuming the shifts of the previous word at their common
-prefix, instead of reducing every rotation, and keeps each distinct target
+instead of conjugating a subset's generators afresh for every subset.
+``_elementary_targets`` walks the reduced words one shift per letter, each
+resuming the shifts of the previous word at their common prefix, instead of
+reducing every rotation, and keeps each distinct target
 with its first witness; ``kappa_closure`` searches only those targets
 instead of every move.  ``has_cent_prime`` reads candidate membership of
 reflection images from bitmasks over the candidates' reflection sets instead
