@@ -176,7 +176,8 @@ class KappaClosure:
     ``nodes`` and ``min_stratum`` are canonically ordered.  ``parents[v] =
     (previous, rho, k)`` is the move that first reached v in the search: v is
     spelled by rotating the reduced word rho of previous by k letters.  It is
-    read-only and takes no part in comparison.
+    read-only and takes no part in comparison, nor does ``peak``, the largest
+    braid class among the nodes.
     """
 
     start: Element
@@ -185,19 +186,20 @@ class KappaClosure:
     min_length: int
     min_stratum: tuple
     length_preserved: bool
+    peak: int = field(compare=False)
 
 
 def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
     """The closure of u, by breadth-first search over the distinct targets of
-    each node.  The record is memoised per system under the start word with
-    its peak, the largest braid class among its nodes.  A hit whose peak or
-    node count is over ``cap`` is searched again over the memoised targets,
-    so it refuses exactly as on a fresh system, naming the same search.
+    each node.  The record is memoised per system under the start word.  A
+    hit whose peak or node count is over ``cap`` is searched again over the
+    memoised targets, so it refuses exactly as on a fresh system, naming the
+    same search.
     """
     cache = u.system._scratch["closure"]
     hit = cache.get(u.word)
-    if hit is not None and max(hit[1], len(hit[0].nodes)) <= cap:
-        return hit[0]
+    if hit is not None and max(hit.peak, len(hit.nodes)) <= cap:
+        return hit
     peak = 0
 
     def moves(v):
@@ -218,8 +220,9 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
         min_length=low,
         min_stratum=tuple(v for v in nodes if v.length == low),
         length_preserved=(low == u.length),
+        peak=peak,
     )
-    cache[u.word] = record, peak
+    cache[u.word] = record
     return record
 
 

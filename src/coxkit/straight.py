@@ -4,9 +4,12 @@ An element w is straight when l(w^n) = n l(w) for all n.  The exact decision
 works on the cyclic-shift closure: if the closure shortens, a strictly
 shorter conjugate witnesses non-straightness; if it preserves length, every
 node is cyclically reduced (asserted at runtime, never assumed) and w is
-straight iff every node is torsion-free.  The power-length profile is kept as
-a cross-check only: no bound is known on the exponent needed to expose a
-defect, so it is never used as a decision procedure.
+straight iff every node is torsion-free.  Every node of a length-preserving
+closure has that same closure, so the verdict is decided once per such class
+and memoised under all of its nodes.  The power-length profile is kept as a
+cross-check only: no bound is known on the exponent needed to expose a
+defect, so it is never used as a decision procedure; it reduces words and
+builds no normal forms.
 
 The fully commutative (FC) shortcut: an element whose reduced words form a
 single commutation class is FC; it is CFC when additionally every closure
@@ -26,8 +29,9 @@ from .core import (
     Element,
     braid_class,
     commutation_class,
-    multiply,
     support,
+    _reduce,
+    _root_table,
 )
 from .conjugacy import (
     MoveCertificate,
@@ -73,14 +77,20 @@ class StraightnessVerdict:
 
 
 def power_length_profile(w: Element, n_max: int) -> tuple:
-    """Exact lengths l(w^1), ..., l(w^n_max); they may oscillate for torsion."""
+    """Exact lengths l(w^1), ..., l(w^n_max); they may oscillate for torsion.
+
+    Only lengths are needed, so each power is kept as a reduced word, the
+    previous one with the word of w appended and reduced by the exchange
+    walk; no normal form is built.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    act = _root_table(w.system)
     out = []
-    acc = w.system.identity()
+    acc = b""
     for _ in range(n_max):
-        acc = multiply(acc, w)
-        out.append(acc.length)
+        acc = _reduce(act, acc + w.word, [])
+        out.append(len(acc))
     return tuple(out)
 
 
@@ -103,7 +113,18 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
     when some length-preserved node fails torsion-freeness
     (NonTorsionFreeMember, canonically least failing node); straight
     otherwise.
+
+    A length-preserving closure is the closure of each of its nodes (a
+    rotation that keeps the length is undone by rotating back), so its
+    verdict is memoised per system under every node, with the larger of the
+    closure's peak and node count.  A hit over ``cap`` is decided again, so
+    it refuses exactly as on a fresh system.  A shortening closure is not
+    memoised: its certificate starts at w.
     """
+    cache = w.system._scratch["straight"]
+    hit = cache.get(w.word)
+    if hit is not None and hit[1] <= cap:
+        return hit[0]
     closure = kappa_closure(w, cap)
     if not closure.length_preserved:
         shortest = closure.nodes[0]
@@ -114,14 +135,19 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
             raise InvariantViolation(
                 f"length-preserved closure node {node} is not cyclically reduced"
             )
+    verdict = StraightnessVerdict(True)
     for node in closure.nodes:
         witness = parabolic.torsion_witness(node)
         if witness is not None:
-            return StraightnessVerdict(
+            verdict = StraightnessVerdict(
                 False,
                 NonTorsionFreeMember(node, parabolic.generator_subset(w.system, witness)),
             )
-    return StraightnessVerdict(True)
+            break
+    size = max(closure.peak, len(closure.nodes))
+    for node in closure.nodes:
+        cache[node.word] = verdict, size
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +162,11 @@ def is_fc(w: Element, cap: int = DEFAULT_CAP) -> bool:
     for rho in braid_class(matrix, w.word, cap):
         n = len(rho)
         for pos in range(n - 1):
-            a, b = rho[pos], rho[pos + 1]
-            m = table[a][b]
-            if m == 2 or m == INFINITY or pos + m > n:
+            m = table[rho[pos]][rho[pos + 1]]
+            if m <= 2 or m == INFINITY or pos + m > n:
                 continue
-            if all(rho[pos + i] == (a if i % 2 == 0 else b) for i in range(m)):
+            # alternating exactly when each letter repeats the one two back
+            if rho[pos + 2 : pos + m] == rho[pos : pos + m - 2]:
                 return False
     return True
 

@@ -9,8 +9,9 @@ braid-move steps, which the engine's one orbit search must match move for
 move; conjugation as two products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup one product at a time; candidate membership by the
-support test; and the torsion scan that conjugates a subset's generators
-afresh for every subset it tests.
+support test; the torsion scan that conjugates a subset's generators
+afresh for every subset it tests; and the power-length profile that
+multiplies out every power in normal form.
 """
 
 import itertools
@@ -335,3 +336,19 @@ def reference_torsion_witness(w, conjugated=None):
         if members and (lds & members) and reference_normalises(w, members, conjugated):
             return members
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference power-length profile
+
+
+def reference_power_length_profile(w, n_max):
+    """Lengths l(w^1), ..., l(w^n_max), one normal-form product per power."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    out = []
+    acc = w.system.identity()
+    for _ in range(n_max):
+        acc = multiply(acc, w)
+        out.append(acc.length)
+    return tuple(out)

@@ -255,6 +255,10 @@ def test_criterion_8_fully_commutative_sweeps(a2t, b3):
                     component_failures.append((matrix.names, str(w)))
             if is_cfc(w) and cfc_straight(w) != is_straight(w).straight:
                 cfc_disagreements.append((matrix.names, str(w)))
+    for matrix in (helpers.A3, helpers.H3, helpers.G2T, helpers.U3):
+        for w in enumerate_elements(matrix, 6):
+            if is_fc(w) != is_fc_definitional(w):
+                fc_disagreements.append((matrix.names, str(w)))
     assert not fc_disagreements, fc_disagreements
     assert not cfc_disagreements, cfc_disagreements
     assert not component_failures, component_failures

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 import helpers
 from coxkit import (
+    DEFAULT_CAP,
+    CoxeterMatrix,
     cfc_straight,
     coxeter_straight,
     enumerate_elements,
@@ -14,6 +18,7 @@ from coxkit import (
     is_fc_definitional,
     is_straight,
     is_torsion_free,
+    kappa_closure,
     multiply,
     only_infinite_irreducible_components,
     power_length_profile,
@@ -21,14 +26,28 @@ from coxkit import (
     standard_parabolic_closure,
     support,
 )
+from coxkit import parabolic
 from coxkit.straight import NonTorsionFreeMember, PowerDefect, ShorterConjugate
-from coxkit.errors import NotCFC
+from coxkit.errors import CapExceeded, NotCFC
 
 
 def _sws(a2t):
     w = a2t.element("tustuts")
     s = a2t.element("s")
     return multiply(multiply(s, w), s)
+
+
+def _fresh(matrix):
+    """A copy of the system with empty memos."""
+    return CoxeterMatrix(matrix.names, matrix.table)
+
+
+def _straightness(w, cap=DEFAULT_CAP):
+    """The verdict's repr, or the refusal message."""
+    try:
+        return repr(is_straight(w, cap))
+    except CapExceeded as exc:
+        return str(exc)
 
 
 class TestPowerLengthProfile:
@@ -45,8 +64,25 @@ class TestPowerLengthProfile:
         assert profile[1] == 12 != 14
 
     def test_rejects_nonpositive(self, a2t):
-        with pytest.raises(ValueError):
-            power_length_profile(a2t.element("s"), 0)
+        for n_max in (0, -1):
+            with pytest.raises(ValueError):
+                power_length_profile(a2t.element("s"), n_max)
+
+    def test_finite_order_profile_oscillates(self, b3):
+        assert power_length_profile(b3.element("s1 s2"), 4) == (2, 4, 2, 0)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A2T", "G2T", "U3"])
+    def test_matches_normal_form_products(self, name):
+        matrix = _fresh(getattr(helpers, name))
+        oscillating = 0
+        for e in enumerate_elements(matrix, 6):
+            profile = power_length_profile(e, 8)
+            assert profile == helpers.reference_power_length_profile(e, 8), str(e)
+            assert power_length_profile(e, 1) == (e.length,)
+            oscillating += any(a > b for a, b in zip(profile, profile[1:]))
+        if name in ("A3", "B3", "H3"):
+            # the finite groups' sweeps meet profiles that fall back
+            assert oscillating
 
 
 class TestPowerDefect:
@@ -120,6 +156,46 @@ class TestIsStraight:
                     conj = multiply(multiply(v, e), inverse(v))
                     if conj.length == e.length:
                         assert straightness(conj) == base, (str(e), str(v))
+
+
+class TestStraightnessMemo:
+    # one cap under the class size, tustuts (6 nodes, up to 4 reduced words)
+    # refuses in the closure search, ababcbabc (6 nodes, up to 12 reduced
+    # words) and s1 s2 s1 s2 (one node, 2 reduced words) in a braid-move search
+    @pytest.mark.parametrize("name, word", [
+        ("A2T", "tustuts"), ("G2T", "stu"), ("B3", "s1 s2 s3"), ("H3", "ababcbabc"),
+        ("B3", "s1 s2 s1 s2"),
+    ])
+    def test_every_node_answers_as_fresh_after_one_warms(self, name, word, monkeypatch):
+        matrix = getattr(helpers, name)
+        closure = kappa_closure(_fresh(matrix).element(word))
+        assert closure.length_preserved
+        size = max(closure.peak, len(closure.nodes))
+        for node in closure.nodes:
+            warm = _fresh(matrix)
+            verdict = _straightness(warm.element(word))
+            # the class was decided once: no node is scanned again
+            with monkeypatch.context() as patch:
+                patch.setattr(parabolic, "torsion_witness", None)
+                assert _straightness(warm.element(node.word)) == verdict
+            for cap in range(1, size + 3):
+                fresh = _straightness(_fresh(matrix).element(node.word), cap)
+                assert _straightness(warm.element(node.word), cap) == fresh, (str(node), cap)
+            assert "exceeded the node cap" in _straightness(warm.element(node.word), size - 1)
+            assert _straightness(warm.element(node.word), size) == verdict
+
+    @pytest.mark.parametrize("name, bound", [
+        ("A2T", 6), ("B2T", 6), ("G2T", 6), ("T237", 6), ("B3", 6), ("A3T", 5), ("U3", 5),
+    ])
+    def test_warm_answers_match_fresh_systems(self, name, bound):
+        matrix = getattr(helpers, name)
+        words = [e.word for e in enumerate_elements(_fresh(matrix), bound)]
+        expected = {word: _straightness(_fresh(matrix).element(word)) for word in words}
+        warm = _fresh(matrix)
+        for seed in (1, 2):
+            random.Random(seed).shuffle(words)
+            for word in words:
+                assert _straightness(warm.element(word)) == expected[word], (seed, word)
 
 
 class TestFullyCommutative:
