@@ -36,7 +36,6 @@ from .core import (
     braid_class,
     braid_word_path,
     conjugate,
-    is_reduced,
     reduce_word_with_path,
     support,
     _search,
@@ -254,17 +253,11 @@ def _path_certificate(start: Element, parents: dict, target: Element,
 
 
 def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
-    """Every rotation of every reduced word of w stays reduced.  Memoised per
-    system with the number of reduced words; a hit over ``cap`` words goes
-    back through :func:`braid_class`, so it refuses as on a fresh system."""
-    cache = w.system._scratch["cyclically_reduced"]
-    hit = cache.get(w.word)
-    if hit is None or hit[1] > cap:
-        words = braid_class(w.system, w.word, cap)
-        verdict = all(is_reduced(w.system, sigma)
-                      for rho in sorted(words) for sigma in rotations(rho))
-        hit = cache[w.word] = (verdict, len(words))
-    return hit[0]
+    """Every rotation of every reduced word of w stays reduced: read off the
+    rotation targets, every one of which must keep the length of w.  The
+    targets are memoised with the number of reduced words walked, so a hit
+    over ``cap`` refuses as on a fresh system."""
+    return all(t.length == w.length for t in _elementary_targets(w, cap)[0])
 
 
 def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):

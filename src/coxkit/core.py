@@ -23,7 +23,8 @@ cyclic-shift closure and element enumeration are all ``_search``, one capped
 breadth-first search and the only place the node cap is checked: exceeding
 it raises CapExceeded rather than returning a guess.
 All values are immutable after construction; the per-system dictionaries on
-:class:`CoxeterMatrix` are memo caches only.
+:class:`CoxeterMatrix` are memo caches only (a braid class under the word
+asked about, and under no other member).
 
 Words are stored as ``bytes`` of generator indices (rank is capped at 255):
 hashing and slicing of bytes dominate the closure searches and are far
@@ -52,9 +53,6 @@ INFINITY = math.inf
 
 #: Default node cap for braid-move and cyclic-shift closure searches.
 DEFAULT_CAP = 1_000_000
-
-# braid classes up to this size are cached once per member word
-_MEMBER_CACHE_LIMIT = 20_000
 
 #: A word is a bytes object of generator indices into the ambient matrix.
 Word = bytes
@@ -419,20 +417,15 @@ def _shortlex(matrix: CoxeterMatrix, act: dict, word: Word) -> Word:
 def is_reduced(matrix: CoxeterMatrix, word: WordLike) -> bool:
     """Decide reducedness: no letter is deleted while reducing the word."""
     word = matrix.word(word)
-    cache = matrix._scratch["reduced"]
-    hit = cache.get(word)
-    if hit is None:
-        hit = len(_reduce(_root_table(matrix), word, [])) == len(word)
-        cache[word] = hit
-    return hit
+    return len(_reduce(_root_table(matrix), word, [])) == len(word)
 
 
 def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> frozenset:
     """The set of words reachable from a reduced word by braid moves.
 
     By Tits' theorem this is exactly the set of reduced words of the element.
-    A memo hit over ``cap`` words is searched again, so it refuses as on a
-    fresh system.
+    It is memoised under the word asked only; a memo hit over ``cap`` words is
+    searched again, so it refuses as on a fresh system.
     """
     word = matrix.word(word)
     classes = matrix._scratch["class"]
@@ -440,21 +433,9 @@ def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -
     if hit is not None and len(hit) <= cap:
         return hit
     seen, repeat = _braid_orbit(matrix, word, cap, stop=_has_repeat)
-    reduced = matrix._scratch["reduced"]
     if repeat is not None:
-        for w in seen:
-            reduced[w] = False
         raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
-    cls = frozenset(seen)
-    if len(seen) <= _MEMBER_CACHE_LIMIT:
-        canon = matrix._scratch["canon"]
-        least = min(seen)
-        for w in seen:
-            reduced[w] = True
-            classes[w] = cls
-            canon[w] = least
-    else:
-        reduced[word] = True
+    cls = classes[word] = frozenset(seen)
     return cls
 
 
@@ -613,11 +594,16 @@ def inverse(x: Element) -> Element:
 
 
 def power(x: Element, n: int) -> Element:
+    """x^n by repeated squaring: O(log |n|) products."""
     if n < 0:
-        return power(inverse(x), -n)
+        x, n = inverse(x), -n
     acc = x.system.identity()
-    for _ in range(n):
-        acc = multiply(acc, x)
+    while n:
+        if n & 1:
+            acc = multiply(acc, x)
+        n >>= 1
+        if n:
+            x = multiply(x, x)
     return acc
 
 

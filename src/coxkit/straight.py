@@ -3,13 +3,13 @@
 An element w is straight when l(w^n) = n l(w) for all n.  The exact decision
 works on the cyclic-shift closure: if the closure shortens, a strictly
 shorter conjugate witnesses non-straightness; if it preserves length, every
-node is cyclically reduced (asserted at runtime, never assumed) and w is
-straight iff every node is torsion-free.  Every node of a length-preserving
-closure has that same closure, so the verdict is decided once per such class
-and memoised under all of its nodes.  The power-length profile is kept as a
-cross-check only: no bound is known on the exponent needed to expose a
-defect, so it is never used as a decision procedure; it reduces words and
-builds no normal forms.
+node is cyclically reduced (its rotation targets are nodes, all of one
+length) and w is straight iff every node is torsion-free.  Every node of a
+length-preserving closure has that same closure, so the verdict is decided
+once per such class and memoised under all of its nodes.  The power-length
+profile is kept as a cross-check only: no bound is known on the exponent
+needed to expose a defect, so it is never used as a decision procedure; it
+reduces words and builds no normal forms.
 
 The fully commutative (FC) shortcut: an element whose reduced words form a
 single commutation class is FC; it is CFC when additionally every closure
@@ -39,7 +39,7 @@ from .conjugacy import (
     is_cyclically_reduced,
     kappa_closure,
 )
-from .errors import InvariantViolation, NotCFC
+from .errors import NotCFC
 from . import parabolic
 
 
@@ -130,11 +130,6 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
         shortest = closure.nodes[0]
         cert = _path_certificate(w, closure.parents, shortest, cap)
         return StraightnessVerdict(False, ShorterConjugate(shortest, cert))
-    for node in closure.nodes:
-        if not is_cyclically_reduced(node, cap):
-            raise InvariantViolation(
-                f"length-preserved closure node {node} is not cyclically reduced"
-            )
     verdict = StraightnessVerdict(True)
     for node in closure.nodes:
         witness = parabolic.torsion_witness(node)

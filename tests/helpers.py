@@ -10,8 +10,9 @@ move; conjugation as two products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup one product at a time; candidate membership by the
 support test; the torsion scan that conjugates a subset's generators
-afresh for every subset it tests; and the power-length profile that
-multiplies out every power in normal form.
+afresh for every subset it tests; the power-length profile that
+multiplies out every power in normal form; and cyclic reducedness that
+reduces every rotation of every reduced word.
 """
 
 import itertools
@@ -29,9 +30,11 @@ from coxkit import (
     centralises,
     inverse,
     is_cyclically_reduced,
+    is_reduced,
     left_descents,
     multiply,
     reduce_word,
+    rotations,
     spherical_subsets,
     support,
 )
@@ -352,3 +355,15 @@ def reference_power_length_profile(w, n_max):
         acc = multiply(acc, w)
         out.append(acc.length)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# reference cyclic reducedness
+
+
+def reference_is_cyclically_reduced(w, cap=DEFAULT_CAP):
+    """Every rotation of every reduced word of w is reduced, each tested on
+    its own by one reduction."""
+    words = braid_class(w.system, w.word, cap)
+    return all(is_reduced(w.system, sigma)
+               for rho in sorted(words) for sigma in rotations(rho))

@@ -229,6 +229,38 @@ class TestCyclicReducedness:
         assert not closure.length_preserved
         assert closure.min_length == 2
 
+    @pytest.mark.parametrize("matrix", [helpers.A3, helpers.B3, helpers.H3, helpers.A2T,
+                                        helpers.G2T, helpers.T237, helpers.U3])
+    def test_matches_every_rotation_reduced(self, matrix):
+        # the rotation targets against the engine they replaced, each on its
+        # own system so neither reads the other's memos
+        ours = CoxeterMatrix(matrix.names, matrix.table)
+        theirs = CoxeterMatrix(matrix.names, matrix.table)
+        for e in enumerate_elements(matrix, 6):
+            assert is_cyclically_reduced(ours.element(e.word)) == \
+                helpers.reference_is_cyclically_reduced(theirs.element(e.word)), e
+
+    def test_refuses_as_the_reference_at_every_cap(self, a3):
+        # A3's longest element has 16 reduced words: both refuse in the
+        # braid-move search below cap 16, on a warm system as on a fresh one
+        def outcome(check, w, cap):
+            try:
+                return repr(check(w, cap))
+            except CapExceeded as exc:
+                return str(exc)
+
+        def fresh():
+            return CoxeterMatrix(a3.names, a3.table).element("s1 s2 s1 s3 s2 s1")
+
+        warm = fresh()
+        assert not is_cyclically_reduced(warm)
+        for cap in range(1, 18):
+            ours = outcome(is_cyclically_reduced, fresh(), cap)
+            assert ours == outcome(helpers.reference_is_cyclically_reduced, fresh(), cap)
+            assert ours == outcome(is_cyclically_reduced, warm, cap)
+            assert ours == (f"braid-move orbit exceeded the node cap of {cap}"
+                            if cap < 16 else "False"), cap
+
 
 class TestCyclicReduce:
     def test_dihedral_long_word(self, a2):

@@ -151,6 +151,18 @@ class TestBraidClass:
         with pytest.raises(CapExceeded):
             braid_class(matrix, matrix.word("sts"), cap=1)
 
+    def test_memoised_under_the_word_asked_only(self, a3):
+        # fresh system: A3's longest element has 16 reduced words, and only
+        # the one asked about gets a memo entry
+        matrix = CoxeterMatrix(a3.names, a3.table)
+        words = braid_class(matrix, matrix.word("s1 s2 s1 s3 s2 s1"))
+        assert len(words) == 16
+        assert len(matrix._scratch["class"]) == 1
+        others = words - {min(words)}
+        assert len(others) == 15
+        assert not others & matrix._scratch["canon"].keys()
+        assert "reduced" not in matrix._scratch
+
     def test_matches_naive_fixpoint_orbit(self, a2t, b3):
         for matrix in (a2t, b3):
             for word in helpers.all_words(matrix, 5):
@@ -227,6 +239,24 @@ class TestArithmetic:
 
     def test_power_zero(self, a2t):
         assert power(a2t.element("stu"), 0).is_identity()
+
+    @pytest.mark.parametrize("matrix", [helpers.A3, helpers.B3, helpers.H3, helpers.A2T,
+                                        helpers.G2T, helpers.T237, helpers.U3])
+    def test_power_matches_repeated_products(self, matrix):
+        for x in {reduce_word(matrix, w) for w in helpers.all_words(matrix, 3)}:
+            for sign, base in ((1, x), (-1, inverse(x))):
+                acc = matrix.identity()
+                for n in range(9):
+                    assert power(x, sign * n) == acc, (x, sign * n)
+                    acc = multiply(acc, base)
+
+    def test_huge_exponent(self, a3):
+        # repeated squaring: about 60 products, not a billion
+        s1 = a3.element("s1")
+        assert power(s1, 10**9 + 1) == s1
+        assert power(s1, -(10**9)).is_identity()
+        coxeter = a3.element("s1 s2 s3")  # order 4
+        assert power(coxeter, 10**9 + 1) == coxeter
 
     def test_group_laws_on_small_sample(self, b3):
         elements = [reduce_word(b3, w) for w in helpers.all_words(b3, 3)]
