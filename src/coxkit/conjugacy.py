@@ -290,30 +290,26 @@ def is_finite_order(w: Element, cap: int = DEFAULT_CAP) -> bool:
 
 def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
     """Spherical subgroups of the form w_I W_J w_I^-1, deduplicated by their
-    generating sets; each entry is (generators, w_I, J)."""
-    cache = matrix._scratch["cent_prime_candidates"]
-    hit = cache.get(cap)
-    if hit is None:
-        out = []
-        seen_gensets = set()
-        subsets = parabolic.spherical_subsets(matrix)
-        for members in subsets:
-            if not members:
-                continue
-            j_sets = [j_set for j_set in subsets if j_set and j_set <= members]
-            subgroup = oracle.enumerate_elements(matrix, None, cap=cap, letters=members)
-            for w_i in subgroup:
-                images = {j: conjugate(w_i, matrix.generator(j)) for j in members}
-                for j_set in j_sets:
-                    gens = tuple(images[j] for j in sorted(j_set))
-                    genset = frozenset(gens)
-                    if genset in seen_gensets:
-                        continue
-                    seen_gensets.add(genset)
-                    out.append((gens, w_i, j_set))
-        hit = tuple(out)
-        cache[cap] = hit
-    return hit
+    generating sets; each entry is (generators, w_I, J).  Not memoised:
+    :func:`_cent_prime_masks` memoises what is built from it."""
+    out = []
+    seen_gensets = set()
+    subsets = parabolic.spherical_subsets(matrix)
+    for members in subsets:
+        if not members:
+            continue
+        j_sets = [j_set for j_set in subsets if j_set and j_set <= members]
+        subgroup = oracle.enumerate_elements(matrix, None, cap=cap, letters=members)
+        for w_i in subgroup:
+            images = {j: conjugate(w_i, matrix.generator(j)) for j in members}
+            for j_set in j_sets:
+                gens = tuple(images[j] for j in sorted(j_set))
+                genset = frozenset(gens)
+                if genset in seen_gensets:
+                    continue
+                seen_gensets.add(genset)
+                out.append((gens, w_i, j_set))
+    return tuple(out)
 
 
 def _cent_prime_masks(matrix: CoxeterMatrix, cap: int) -> tuple:

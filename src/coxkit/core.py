@@ -23,8 +23,8 @@ cyclic-shift closure and element enumeration are all ``_search``, one capped
 breadth-first search and the only place the node cap is checked: exceeding
 it raises CapExceeded rather than returning a guess.
 All values are immutable after construction; the per-system dictionaries on
-:class:`CoxeterMatrix` are memo caches only (a braid class under the word
-asked about, and under no other member).
+:class:`CoxeterMatrix` are memo caches only, and hold only what is read
+again: normal forms and cyclic shifts, never a braid class.
 
 Words are stored as ``bytes`` of generator indices (rank is capped at 255):
 hashing and slicing of bytes dominate the closure searches and are far
@@ -325,26 +325,28 @@ def _search(start, moves, cap, what, *, stop=None, parents=None):
     return seen, None
 
 
+def _braid_moves(table, cur: Word, commutations_only: bool = False):
+    """The braid moves that apply to ``cur``, as ``(next word, position)``."""
+    n = len(cur)
+    for pos in range(n - 1):
+        m = table[cur[pos]][cur[pos + 1]]
+        # m is 1 on a repeated letter, and an infinite m never fits
+        if m == 1 or pos + m > n or (commutations_only and m != 2):
+            continue
+        # the m letters from pos alternate when each repeats the one two
+        # places back; the move reads them from pos + 1, then repeats the
+        # second-to-last
+        if cur[pos + 2 : pos + m] == cur[pos : pos + m - 2]:
+            swapped = cur[pos + 1 : pos + m] + cur[pos + m - 2 : pos + m - 1]
+            yield cur[:pos] + swapped + cur[pos + m :], pos
+
+
 def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, parents=None):
     """:func:`_search` of the braid-move orbit of ``word``; ``parents`` maps a
     word to ``(previous word, position of the move)``."""
     table = matrix.table
-
-    def moves(cur):
-        n = len(cur)
-        for pos in range(n - 1):
-            m = table[cur[pos]][cur[pos + 1]]
-            # m is 1 on a repeated letter, and an infinite m never fits
-            if m == 1 or pos + m > n or (commutations_only and m != 2):
-                continue
-            # the m letters from pos alternate when each repeats the one two
-            # places back; the move reads them from pos + 1, then repeats the
-            # second-to-last
-            if cur[pos + 2 : pos + m] == cur[pos : pos + m - 2]:
-                swapped = cur[pos + 1 : pos + m] + cur[pos + m - 2 : pos + m - 1]
-                yield cur[:pos] + swapped + cur[pos + m :], pos
-
-    return _search(word, moves, cap, "braid-move orbit", stop=stop, parents=parents)
+    return _search(word, lambda cur: _braid_moves(table, cur, commutations_only),
+                   cap, "braid-move orbit", stop=stop, parents=parents)
 
 
 def _root_table(matrix: CoxeterMatrix) -> dict:
@@ -367,16 +369,14 @@ def _exchange(act: dict, word, s: int) -> Optional[int]:
     return None
 
 
-def _reduce(act: dict, word: Word, trail: list) -> Word:
+def _reduce(act: dict, word: Word) -> Word:
     """A reduced word for the element spelled by ``word``.
 
     Appends letter after letter, deleting at the exchange position (the walk
-    of :func:`_exchange`, inlined: this loop is the engine's hot path).  Each
-    word met after a deletion, the rest of the input still appended, spells
-    the same element and goes to ``trail``.
+    of :func:`_exchange`, inlined: this loop is the engine's hot path).
     """
     out = bytearray()
-    for k, s in enumerate(word):
+    for s in word:
         beta = s
         for i in range(len(out) - 1, -1, -1):
             beta = act[beta][out[i]]
@@ -384,7 +384,6 @@ def _reduce(act: dict, word: Word, trail: list) -> Word:
                 break
         if beta == NEG:
             del out[i]
-            trail.append(bytes(out) + word[k + 1 :])
         else:
             out.append(s)
     return bytes(out)
@@ -417,26 +416,21 @@ def _shortlex(matrix: CoxeterMatrix, act: dict, word: Word) -> Word:
 def is_reduced(matrix: CoxeterMatrix, word: WordLike) -> bool:
     """Decide reducedness: no letter is deleted while reducing the word."""
     word = matrix.word(word)
-    return len(_reduce(_root_table(matrix), word, [])) == len(word)
+    return len(_reduce(_root_table(matrix), word)) == len(word)
 
 
 def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> frozenset:
     """The set of words reachable from a reduced word by braid moves.
 
     By Tits' theorem this is exactly the set of reduced words of the element.
-    It is memoised under the word asked only; a memo hit over ``cap`` words is
-    searched again, so it refuses as on a fresh system.
+    It is searched on every call and not memoised: its one engine caller
+    walks it once into the memoised rotation targets.
     """
     word = matrix.word(word)
-    classes = matrix._scratch["class"]
-    hit = classes.get(word)
-    if hit is not None and len(hit) <= cap:
-        return hit
     seen, repeat = _braid_orbit(matrix, word, cap, stop=_has_repeat)
     if repeat is not None:
         raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
-    cls = classes[word] = frozenset(seen)
-    return cls
+    return frozenset(seen)
 
 
 def commutation_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> frozenset:
@@ -452,8 +446,8 @@ def canonical_word(matrix: CoxeterMatrix, word: WordLike) -> Word:
     """Shortlex-least reduced word of the element spelled by ``word``.
 
     Reduces by the exchange walk, then strips least left descents; no search.
-    The answer is memoised under the input, the words met while reducing it,
-    the reduced word and the answer itself.
+    The answer is memoised under the input, the reduced word and the answer
+    itself.
     """
     if not isinstance(word, bytes):
         word = matrix.word(word)
@@ -462,15 +456,13 @@ def canonical_word(matrix: CoxeterMatrix, word: WordLike) -> Word:
     if canon is None:
         word = matrix.word(word)  # a miss is validated; every memo key was when stored
         act = _root_table(matrix)
-        trail = [word]
-        reduced = _reduce(act, word, trail)
+        reduced = _reduce(act, word)
         canon = cache.get(reduced)
         if canon is None:
             canon = _shortlex(matrix, act, reduced)
             cache[reduced] = canon
             cache[canon] = canon
-        for w in trail:
-            cache[w] = canon
+        cache[word] = canon
     return canon
 
 

@@ -185,16 +185,22 @@ def generator_subset(matrix: CoxeterMatrix, subset: Members) -> GeneratorSubset:
 
 
 def spherical_subsets(matrix: CoxeterMatrix) -> tuple:
-    """All spherical subsets of the generators, by size then lexicographically."""
+    """All spherical subsets of the generators, by size then lexicographically.
+
+    A subset of a spherical set is spherical, so each size is built from the
+    spherical sets one smaller, each extended by a larger index: in order,
+    and testing only those candidates rather than all 2^rank subsets.
+    """
     cache = matrix._scratch["parabolic"]
     hit = cache.get("all_spherical")
     if hit is None:
+        level = [()]
         out = []
-        indices = range(matrix.rank)
-        for size in range(matrix.rank + 1):
-            for combo in itertools.combinations(indices, size):
-                if is_spherical(matrix, combo):
-                    out.append(frozenset(combo))
+        while level:
+            out.extend(frozenset(combo) for combo in level)
+            level = [combo + (j,) for combo in level
+                     for j in range(combo[-1] + 1 if combo else 0, matrix.rank)
+                     if is_spherical(matrix, combo + (j,))]
         hit = tuple(out)
         cache["all_spherical"] = hit
     return hit

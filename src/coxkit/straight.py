@@ -24,12 +24,13 @@ from typing import Optional, Union
 
 from .core import (
     DEFAULT_CAP,
-    INFINITY,
     CoxeterMatrix,
     Element,
     braid_class,
     commutation_class,
     support,
+    _braid_moves,
+    _braid_orbit,
     _reduce,
     _root_table,
 )
@@ -89,7 +90,7 @@ def power_length_profile(w: Element, n_max: int) -> tuple:
     out = []
     acc = b""
     for _ in range(n_max):
-        acc = _reduce(act, acc + w.word, [])
+        acc = _reduce(act, acc + w.word)
         out.append(len(acc))
     return tuple(out)
 
@@ -151,19 +152,16 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
 
 def is_fc(w: Element, cap: int = DEFAULT_CAP) -> bool:
     """Fully commutative: no reduced word carries a braid factor of length
-    m(s,t) >= 3; scans the braid class with early exit."""
-    matrix = w.system
-    table = matrix.table
-    for rho in braid_class(matrix, w.word, cap):
-        n = len(rho)
-        for pos in range(n - 1):
-            m = table[rho[pos]][rho[pos + 1]]
-            if m <= 2 or m == INFINITY or pos + m > n:
-                continue
-            # alternating exactly when each letter repeats the one two back
-            if rho[pos + 2 : pos + m] == rho[pos : pos + m - 2]:
-                return False
-    return True
+    m(s,t) >= 3 (Stembridge, J. Algebraic Combin. 5, 1996).  Searches only
+    the commutation class, up to a word with such a factor: without one,
+    only commutations apply, so that class is the whole braid class."""
+    table = w.system.table
+
+    def has_braid_factor(rho):
+        return any(table[rho[pos]][rho[pos + 1]] > 2 for _, pos in _braid_moves(table, rho))
+
+    _, hit = _braid_orbit(w.system, w.word, cap, commutations_only=True, stop=has_braid_factor)
+    return hit is None
 
 
 def is_fc_definitional(w: Element, cap: int = DEFAULT_CAP) -> bool:

@@ -11,13 +11,15 @@ and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup one product at a time; candidate membership by the
 support test; the torsion scan that conjugates a subset's generators
 afresh for every subset it tests; the power-length profile that
-multiplies out every power in normal form; and cyclic reducedness that
-reduces every rotation of every reduced word.
+multiplies out every power in normal form; cyclic reducedness that
+reduces every rotation of every reduced word; and the spherical subsets
+found by testing all 2^rank subsets.
 """
 
 import itertools
 import math
 from collections import deque
+from functools import lru_cache
 
 from coxkit import (
     DEFAULT_CAP,
@@ -31,6 +33,7 @@ from coxkit import (
     inverse,
     is_cyclically_reduced,
     is_reduced,
+    is_spherical,
     left_descents,
     multiply,
     reduce_word,
@@ -61,6 +64,9 @@ T237 = CoxeterMatrix.from_pairs("stu", {("t", "u"): 3, ("s", "u"): 7})
 A3T = CoxeterMatrix.from_pairs(
     "abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3, ("a", "d"): 3}
 )
+
+#: every system above
+ALL_SYSTEMS = (A1, A2, A1A1, B2, DINF, A3, B3, A2T, U3, H3, B2T, G2T, T237, A3T)
 
 #: systems named by the word-problem equivalence sweep
 WORD_PROBLEM_SYSTEMS = (A3, B3, A2T, DINF, U3)
@@ -298,13 +304,17 @@ def _reference_normalises_conjugated(w, gens, w_i, j_set):
     return True
 
 
+# the engine memoises only the masks built from the candidates
+_candidates = lru_cache(maxsize=None)(_cent_prime_candidates)
+
+
 def reference_has_cent_prime(u, cap=DEFAULT_CAP):
     """The per-candidate Cent' scan: for every closure node and every
     candidate w_I W_J w_I^-1, conjugate each generator and pull it back by
     w_I; a normalised candidate must be centralised."""
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
-    candidates = _cent_prime_candidates(u.system, cap)
+    candidates = _candidates(u.system, cap)
     for w in sorted(reference_closure(u, cap)):
         for gens, w_i, j_set in candidates:
             if _reference_normalises_conjugated(w, gens, w_i, j_set):
@@ -367,3 +377,15 @@ def reference_is_cyclically_reduced(w, cap=DEFAULT_CAP):
     words = braid_class(w.system, w.word, cap)
     return all(is_reduced(w.system, sigma)
                for rho in sorted(words) for sigma in rotations(rho))
+
+
+# ---------------------------------------------------------------------------
+# reference spherical subsets
+
+
+def reference_spherical_subsets(matrix):
+    """Every subset of the generators tested on its own, all 2^rank of them,
+    by size then lexicographically."""
+    return tuple(frozenset(combo) for size in range(matrix.rank + 1)
+                 for combo in itertools.combinations(range(matrix.rank), size)
+                 if is_spherical(matrix, combo))

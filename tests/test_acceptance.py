@@ -255,7 +255,8 @@ def test_criterion_8_fully_commutative_sweeps(a2t, b3):
                     component_failures.append((matrix.names, str(w)))
             if is_cfc(w) and cfc_straight(w) != is_straight(w).straight:
                 cfc_disagreements.append((matrix.names, str(w)))
-    for matrix in (helpers.A3, helpers.H3, helpers.G2T, helpers.U3):
+    for matrix in (helpers.A3, helpers.H3, helpers.G2T, helpers.U3, helpers.B2T,
+                   helpers.T237, helpers.A3T):
         for w in enumerate_elements(matrix, 6):
             if is_fc(w) != is_fc_definitional(w):
                 fc_disagreements.append((matrix.names, str(w)))

@@ -446,6 +446,12 @@ class TestCentralisingProperty:
         with pytest.raises(ValueError):
             has_cent_prime(a2.element("sts"))
 
+    def test_memoises_the_masks_not_the_candidates(self, a2t):
+        matrix = CoxeterMatrix(a2t.names, a2t.table)
+        assert has_cent_prime(matrix.element("tustuts"))
+        assert matrix._scratch["cent_prime_masks"]
+        assert "cent_prime_candidates" not in matrix._scratch
+
     def test_matches_definitional_scan(self, a2, a2t):
         for matrix, texts in (
             (a2, ("s", "t", "st", "ts")),

@@ -152,12 +152,12 @@ class TestBraidClass:
             braid_class(matrix, matrix.word("sts"), cap=1)
 
     def test_memoised_under_the_word_asked_only(self, a3):
-        # fresh system: A3's longest element has 16 reduced words, and only
-        # the one asked about gets a memo entry
+        # fresh system: A3's longest element has 16 reduced words, and the
+        # class is searched, not memoised, under any of them
         matrix = CoxeterMatrix(a3.names, a3.table)
         words = braid_class(matrix, matrix.word("s1 s2 s1 s3 s2 s1"))
         assert len(words) == 16
-        assert len(matrix._scratch["class"]) == 1
+        assert "class" not in matrix._scratch
         others = words - {min(words)}
         assert len(others) == 15
         assert not others & matrix._scratch["canon"].keys()
@@ -208,6 +208,16 @@ class TestReduce:
         assert canonical_word(a2t, a2t.word("tst")) == a2t.word("sts")
         assert canonical_word(a2t, b"") == b""
         assert canonical_word(a2t, a2t.word("uss")) == a2t.word("u")
+
+    def test_canonical_memoised_under_input_reduced_and_answer(self, a3):
+        # fresh system: the reduction passes s2 s2 s3 s2 s3 and reaches the
+        # reduced s3 s2 s3, whose normal form is s2 s3 s2; the intermediate
+        # word gets no memo entry
+        matrix = CoxeterMatrix(a3.names, a3.table)
+        word = matrix.word("s1 s1 s2 s2 s3 s2 s3")
+        assert canonical_word(matrix, word) == matrix.word("s2 s3 s2")
+        assert matrix._scratch["canon"].keys() == {
+            word, matrix.word("s3 s2 s3"), matrix.word("s2 s3 s2")}
 
     def test_canonical_is_least_class_member(self, a2t, b3):
         for matrix in (a2t, b3):

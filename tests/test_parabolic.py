@@ -107,6 +107,23 @@ class TestSphericity:
         sizes = [len(s) for s in subsets]
         assert sizes == sorted(sizes)
 
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS + (_tripod(1, 2, 4),),
+                             ids=lambda m: "".join(m.names))
+    def test_spherical_subsets_match_every_subset_tested(self, matrix):
+        # the same tuple in the same order, so torsion witnesses do not move
+        fresh = CoxeterMatrix(matrix.names, matrix.table)
+        assert spherical_subsets(fresh) == helpers.reference_spherical_subsets(matrix)
+
+    def test_spherical_subsets_test_only_extensions_of_spherical_ones(self):
+        # rank 20, every order infinite: the empty set and the singletons are
+        # spherical, and only pairs are tested beyond them, not 2^20 subsets
+        rank = 20
+        matrix = CoxeterMatrix.from_pairs(
+            [f"s{i}" for i in range(rank)],
+            {(f"s{i}", f"s{j}"): INF for i in range(rank) for j in range(i + 1, rank)})
+        assert len(spherical_subsets(matrix)) == rank + 1
+        assert len(matrix._scratch["parabolic"]) < (rank + 1) * rank
+
 
 class TestComponents:
     def test_commuting_pair_splits(self, a1a1):

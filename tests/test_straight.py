@@ -8,6 +8,7 @@ from coxkit import (
     CoxeterMatrix,
     cfc_straight,
     coxeter_straight,
+    commutation_class,
     enumerate_elements,
     find_power_defect,
     inverse,
@@ -216,6 +217,20 @@ class TestFullyCommutative:
             for word in helpers.all_words(matrix, 5):
                 e = reduce_word(matrix, word)
                 assert is_fc(e) == is_fc_definitional(e), str(e)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A2T", "B2T", "T237"])
+    def test_capped_search_matches_reference_or_refuses(self, name):
+        # the search covers at most the commutation class, so a cap of its
+        # size never refuses, and a smaller one may only refuse
+        matrix = _fresh(getattr(helpers, name))
+        for w in enumerate_elements(matrix, 5):
+            expected = is_fc_definitional(w)
+            size = len(commutation_class(matrix, w.word))
+            for cap in range(1, size + 2):
+                try:
+                    assert is_fc(w, cap) == expected, (str(w), cap)
+                except CapExceeded:
+                    assert cap < size, (str(w), cap)
 
 
 class TestCyclicallyFullyCommutative:
