@@ -38,6 +38,8 @@ from .core import (
     conjugate,
     reduce_word_with_path,
     support,
+    _exchange,
+    _root_table,
     _search,
     _shift,
 )
@@ -253,10 +255,31 @@ def _path_certificate(start: Element, parents: dict, target: Element,
 
 
 def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
-    """Every rotation of every reduced word of w stays reduced: read off the
-    rotation targets, every one of which must keep the length of w.  The
-    targets are memoised with the number of reduced words walked, so a hit
-    over ``cap`` refuses as on a fresh system."""
+    """Every rotation of every reduced word of w stays reduced.
+
+    First, one descent pair: for a left descent s of w, some reduced word of
+    w is s*sigma with sigma spelling sw, and if s is also a right descent of
+    sw, its rotation sigma*s is not reduced, so w is not cyclically reduced
+    (two exchange walks per s, no search).  That exit is taken only when
+    ``cap`` is at least k*(k-1)^(l-1), for k letters in the support and
+    length l: the number of words of length l over the support without an
+    equal adjacent pair, which bounds the braid class, so the full answer
+    below could not have refused.  Otherwise, and whenever the targets are
+    memoised (reading them is cheaper), read off the rotation targets, every
+    one of which must keep the length of w.  The targets are memoised with
+    the number of reduced words walked, so a hit over ``cap`` refuses as on a
+    fresh system."""
+    word, letters = w.word, set(w.word)
+    k = len(letters)
+    if (word and word not in w.system._scratch["elementary_targets"]
+            and k * (k - 1) ** (len(word) - 1) <= cap):
+        act, rev = _root_table(w.system), word[::-1]
+        for s in letters:
+            i = _exchange(act, rev, s)  # s*w = w minus its letter at -1 - i
+            if i is not None:
+                j = len(word) - 1 - i
+                if _exchange(act, word[:j] + word[j + 1:], s) is not None:
+                    return False
     return all(t.length == w.length for t in _elementary_targets(w, cap)[0])
 
 

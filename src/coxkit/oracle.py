@@ -25,7 +25,10 @@ from .core import (
     CoxeterMatrix,
     Element,
     WordLike,
+    _exchange,
+    _root_table,
     _search,
+    _shortlex,
     conjugate,
     multiply,
 )
@@ -111,21 +114,24 @@ def enumerate_elements(matrix: CoxeterMatrix, max_len: Optional[int], *,
                        cap: int = DEFAULT_CAP, letters=None) -> tuple:
     """All elements of length <= max_len, canonically ordered.
 
-    Breadth-first right multiplication with canonical-form deduplication.
+    Breadth-first right multiplication by generators, keeping only the
+    products that gain length: g extends x iff the exchange walk finds no
+    deletion, and then the word of x followed by g is reduced, so its normal
+    form is built directly, with no product and no memo entry.
     ``max_len=None`` bounds no length, so it returns the whole group for
     finite systems (and raises CapExceeded for infinite ones).
     ``letters`` restricts multiplication to a generator subset, enumerating
     the standard parabolic subgroup it generates.
     """
     gens = sorted(letters) if letters is not None else range(matrix.rank)
-    gens = [matrix.generator(i) for i in gens]
+    gens = [matrix.generator(i).word for i in gens]
+    act = _root_table(matrix)
 
     def moves(x):
         if max_len is None or x.length < max_len:
             for g in gens:
-                y = multiply(x, g)
-                if y.length > x.length:
-                    yield y, g
+                if _exchange(act, x.word, g[0]) is None:
+                    yield Element(matrix, _shortlex(matrix, act, x.word + g)), g
 
     seen, _ = _search(matrix.identity(), moves, cap, "element enumeration")
     return tuple(sorted(seen))

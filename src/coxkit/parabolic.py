@@ -14,8 +14,10 @@ normalising W_I.  Because the normaliser of a spherical W_I splits as
 W_I x| N_I with additive lengths, this is equivalent to the scan implemented
 by :func:`torsion_witness`: no spherical I is normalised by w while meeting
 the left descents of w.  w normalises W_I iff supp(w s_i w^-1) lies in I for
-every i in I, so the scan conjugates each generator by w at most once and
-reads every subset's test off the supports of those images.
+every i in I, so the normalised sets holding a left descent d all hold the
+least one, grown from {d} by those supports; the search grows one such set
+per left descent, conjugating each generator by w at most once, and never
+lists the spherical subsets.
 """
 
 from __future__ import annotations
@@ -211,22 +213,12 @@ def element_of_parabolic(w: Element, subset: Members) -> bool:
     return support(w) <= _members(w.system, subset)
 
 
-def _normalised_by(matrix: CoxeterMatrix, word: bytes, members: frozenset, images: dict) -> bool:
-    """Whether the element w with canonical word ``word`` normalises W_I:
-    supp(w s_i w^-1) lies in I for every i in I, tested in increasing order.
-    ``images`` maps each generator already conjugated by w to that support."""
-    for i in sorted(members):
-        image = images.get(i)
-        if image is None:
-            image = images[i] = frozenset(_conjugate_word(matrix, word, bytes((i,))))
-        if not image <= members:
-            return False
-    return True
-
-
 def normalises(w: Element, subset: Members) -> bool:
-    """True iff conjugation by w keeps every generator of the subset in W_I."""
-    return _normalised_by(w.system, w.word, _members(w.system, subset), {})
+    """True iff conjugation by w keeps every generator of the subset in W_I:
+    supp(w s_i w^-1) lies in I for every i in I, tested in increasing order."""
+    members = _members(w.system, subset)
+    return all(frozenset(_conjugate_word(w.system, w.word, bytes((i,)))) <= members
+               for i in sorted(members))
 
 
 def centralises(w: Element, generators: Iterable[Element]) -> bool:
@@ -275,20 +267,44 @@ def normaliser_decomposition(w: Element, subset: Members) -> NormaliserDecomposi
 def torsion_witness(w: Element) -> Optional[frozenset]:
     """A spherical subset witnessing a torsion factor of w, or None.
 
-    The scan ranges over every spherical I (not only subsets of the support):
-    the first I, in canonical order, that w normalises while having a left
-    descent inside it.  w normalises W_I iff supp(w s_i w^-1) lies in I for
-    every i in I; the subsets share those supports, so each generator is
-    conjugated by w at most once, when a subset first tests it.
+    The witness is the first spherical I, in canonical order (by size, then
+    lexicographically), that w normalises while having a left descent inside
+    it; I ranges over every spherical subset, not only subsets of the
+    support.  w normalises W_I iff I is closed: supp(w s_i w^-1) lies in I
+    for every i in I.  For a left descent d, the least closed set holding d,
+    cl(d), is grown from {d} by adding those supports; a closed I holding d
+    holds cl(d), and a subset of a spherical set is spherical, so the witness
+    is the least spherical cl(d).  Each generator is conjugated by w at most
+    once, and a closure stops growing once it is no longer spherical or
+    larger than the least spherical one found: at most rank conjugations and
+    rank^2 sphericity tests, however many spherical subsets the system has.
     """
-    lds = left_descents(w)
-    if not lds:
-        return None
+    matrix = w.system
     images = {}
-    for members in spherical_subsets(w.system):
-        if members and (lds & members) and _normalised_by(w.system, w.word, members, images):
-            return members
-    return None
+
+    def closure(d, limit):
+        """cl(d), or None once it is not spherical or outgrows ``limit``."""
+        members, pending = {d}, [d]
+        while pending:
+            i = pending.pop()
+            image = images.get(i)
+            if image is None:
+                image = images[i] = frozenset(_conjugate_word(matrix, w.word, bytes((i,))))
+            grown = image - members
+            if grown:
+                members |= grown
+                if len(members) > limit or not is_spherical(matrix, members):
+                    return None
+                pending.extend(grown)
+        return frozenset(members)
+
+    best = None
+    for d in sorted(left_descents(w)):
+        found = closure(d, len(best) if best else matrix.rank)
+        if found is not None and (best is None or
+                                  (len(found), sorted(found)) < (len(best), sorted(best))):
+            best = found
+    return best
 
 
 def is_torsion_free(w: Element) -> bool:

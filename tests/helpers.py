@@ -9,11 +9,13 @@ braid-move steps, which the engine's one orbit search must match move for
 move; conjugation as two products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup one product at a time; candidate membership by the
-support test; the torsion scan that conjugates a subset's generators
-afresh for every subset it tests; the power-length profile that
-multiplies out every power in normal form; cyclic reducedness that
-reduces every rotation of every reduced word; and the spherical subsets
-found by testing all 2^rank subsets.
+support test; the torsion scan that lists the spherical subsets and
+conjugates a subset's generators afresh for every subset it tests, and the
+descent closures grown by fixpoint over two-product conjugates; the
+power-length profile that multiplies out every power in normal form;
+cyclic reducedness that reduces every rotation of every reduced word; the
+spherical subsets found by testing all 2^rank subsets; and element
+enumeration that multiplies every element by every generator.
 """
 
 import itertools
@@ -339,6 +341,18 @@ def reference_normalises(w, members, conjugated=None):
     return True
 
 
+def reference_descent_closure(w, d):
+    """The least set holding d that holds supp(w s_i w^-1) for each of its
+    members i, by fixpoint iteration over two-product conjugates."""
+    members = frozenset({d})
+    while True:
+        grown = members.union(*(support(reference_conjugate(w, w.system.generator(i)))
+                                for i in members))
+        if grown == members:
+            return members
+        members = grown
+
+
 def reference_torsion_witness(w, conjugated=None):
     """The first spherical I, in canonical order, that meets the left
     descents of w and that w normalises, testing each subset on its own."""
@@ -389,3 +403,30 @@ def reference_spherical_subsets(matrix):
     return tuple(frozenset(combo) for size in range(matrix.rank + 1)
                  for combo in itertools.combinations(range(matrix.rank), size)
                  if is_spherical(matrix, combo))
+
+
+# ---------------------------------------------------------------------------
+# reference element enumeration
+
+
+def reference_enumerate_elements(matrix, max_len, cap=DEFAULT_CAP, letters=None):
+    """Breadth-first right multiplication: every element below ``max_len``
+    times every generator (of ``letters`` when given), one product each,
+    keeping the products that gain length; canonically ordered."""
+    gens = [matrix.generator(i) for i in (sorted(letters) if letters is not None
+                                          else range(matrix.rank))]
+    seen = {matrix.identity()}
+    queue = deque(seen)
+    while queue:
+        x = queue.popleft()
+        if max_len is not None and x.length >= max_len:
+            continue
+        for g in gens:
+            y = multiply(x, g)
+            if y.length < x.length or y in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceeded(f"element enumeration exceeded the node cap of {cap}")
+            seen.add(y)
+            queue.append(y)
+    return tuple(sorted(seen))

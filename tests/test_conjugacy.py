@@ -261,6 +261,51 @@ class TestCyclicReducedness:
             assert ours == (f"braid-move orbit exceeded the node cap of {cap}"
                             if cap < 16 else "False"), cap
 
+    @pytest.mark.parametrize("matrix, max_len", [(helpers.A2T, 7), (helpers.G2T, 7),
+                                                 (helpers.T237, 7), (helpers.A3T, 6)],
+                             ids=["A2~", "G2~", "(2,3,7)", "A3~"])
+    def test_matches_the_reference_through_the_descent_pair(self, matrix, max_len):
+        # most of the elements that are not cyclically reduced are rejected
+        # from one descent pair, before any braid class is searched
+        ours = CoxeterMatrix(matrix.names, matrix.table)
+        theirs = CoxeterMatrix(matrix.names, matrix.table)
+        rejected = walked = 0
+        for e in enumerate_elements(matrix, max_len):
+            before = len(ours._scratch["elementary_targets"])
+            verdict = is_cyclically_reduced(ours.element(e.word))
+            assert verdict == helpers.reference_is_cyclically_reduced(theirs.element(e.word)), e
+            if len(ours._scratch["elementary_targets"]) == before:
+                assert not verdict, e
+                rejected += 1
+            else:
+                walked += not verdict
+        assert rejected > walked
+
+    def test_descent_pair_refuses_only_below_the_word_count(self, a2t):
+        # sts has 2 reduced words and 2 words of 3 letters over {s, t}
+        # without a repeat: cap 1 refuses in the braid-move search as the
+        # reference does, caps 2 and 3 reject from the descent pair s, ts
+        def outcome(check, w, cap):
+            try:
+                return repr(check(w, cap))
+            except CapExceeded as exc:
+                return str(exc)
+
+        def fresh():
+            return CoxeterMatrix(a2t.names, a2t.table).element("sts")
+
+        warm = fresh()
+        assert not is_cyclically_reduced(warm)
+        for cap in (1, 2, 3):
+            ours = outcome(is_cyclically_reduced, fresh(), cap)
+            assert ours == outcome(helpers.reference_is_cyclically_reduced, fresh(), cap)
+            assert ours == outcome(is_cyclically_reduced, warm, cap)
+            assert ours == ("braid-move orbit exceeded the node cap of 1"
+                            if cap == 1 else "False"), cap
+        w = fresh()
+        assert not is_cyclically_reduced(w, 2)
+        assert w.word not in w.system._scratch["elementary_targets"]
+
 
 class TestCyclicReduce:
     def test_dihedral_long_word(self, a2):

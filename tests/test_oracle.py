@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from coxkit import (
     whole_group,
 )
 from coxkit.cli import EXIT_USAGE, run
-from coxkit.errors import CapExceeded
+from coxkit.core import CoxeterMatrix
+from coxkit.errors import CapExceeded, WordSyntaxError
 
 
 class TestGeometricRep:
@@ -109,6 +112,36 @@ class TestEnumeration:
         with pytest.raises(CapExceeded) as refused:
             enumerate_elements(a3, max_len, cap=size - 1, letters=letters)
         assert str(refused.value) == f"element enumeration exceeded the node cap of {size - 1}"
+
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+    def test_matches_multiplying_every_pair(self, matrix):
+        # by descent test against one product per (element, generator) pair,
+        # over the whole system and over every pair of generators
+        for letters in [None] + [set(pair) for pair in itertools.combinations(range(matrix.rank), 2)]:
+            fresh = CoxeterMatrix(matrix.names, matrix.table)
+            ours = enumerate_elements(fresh, 5, letters=letters)
+            assert [x.word for x in ours] == \
+                [x.word for x in helpers.reference_enumerate_elements(matrix, 5, letters=letters)]
+            assert all(x.system is fresh for x in ours)
+
+    @pytest.mark.parametrize("matrix, size", [(helpers.A3, 24), (helpers.B3, 48)],
+                             ids=["A3", "B3"])
+    def test_refuses_as_the_reference_around_the_group_size(self, matrix, size):
+        def outcome(enumerate_, cap):
+            try:
+                return len(enumerate_(matrix, None, cap=cap))
+            except CapExceeded as exc:
+                return str(exc)
+
+        for cap in range(size - 3, size + 3):
+            ours = outcome(enumerate_elements, cap)
+            assert ours == outcome(helpers.reference_enumerate_elements, cap), cap
+            assert ours == (size if cap >= size else
+                            f"element enumeration exceeded the node cap of {cap}"), cap
+
+    def test_letters_are_validated(self, a3):
+        with pytest.raises(WordSyntaxError):
+            enumerate_elements(a3, 2, letters={0, 3})
 
 
 class TestBruteForceClasses:

@@ -255,11 +255,12 @@ class TestTorsionFreeness:
         assert is_torsion_free(a2t.identity())
 
     def test_each_generator_conjugated_at_most_once(self, monkeypatch):
-        """The scan conjugates every generator it tests once, however many
-        subsets test it, and exactly the generators that a subset-by-subset
-        scan conjugates, on every node of the affine A3 of at most 6 letters
-        whose left descents meet three or more spherical subsets and on
-        which that scan conjugates some generator more than once."""
+        """The search conjugates every generator it tests once, however many
+        descent closures hold it: every left descent, and otherwise only
+        members of the descent closures, on every node of the affine A3 of
+        at most 6 letters whose left descents meet three or more spherical
+        subsets and on which a subset-by-subset scan conjugates some
+        generator more than once."""
         matrix = helpers.A3T
         conjugated = Counter()
 
@@ -282,8 +283,38 @@ class TestTorsionFreeness:
             conjugated.clear()
             assert torsion_witness(w) == expected, w
             assert set(conjugated.values()) == {1}, w
-            assert set(conjugated) == {bytes((i,)) for i in requested}, w
+            closures = frozenset().union(*(helpers.reference_descent_closure(w, d) for d in lds))
+            assert lds <= {x[0] for x in conjugated} <= closures, w
         assert nodes > 100
+
+    @pytest.mark.parametrize("matrix, max_len",
+                             [(m, 6) for m in helpers.ALL_SYSTEMS] + [(_tripod(1, 2, 4), 4)],
+                             ids=lambda p: "".join(p.names) if isinstance(p, CoxeterMatrix) else str(p))
+    def test_witness_is_the_least_spherical_descent_closure(self, matrix, max_len):
+        # the 14 systems and E8, each on a fresh system against the
+        # subset-by-subset scan, and against the descent closures grown by
+        # fixpoint: the witness is the least spherical one
+        fresh = CoxeterMatrix(matrix.names, matrix.table)
+        witnesses = set()
+        for w in enumerate_elements(matrix, max_len):
+            witness = torsion_witness(fresh.element(w.word))
+            assert witness == helpers.reference_torsion_witness(w), w
+            closures = [helpers.reference_descent_closure(w, d) for d in left_descents(w)]
+            least = min((c for c in closures if is_spherical(matrix, c)),
+                        key=lambda c: (len(c), sorted(c)), default=None)
+            assert witness == least, w
+            witnesses.add(witness)
+        assert len(witnesses) > 1
+
+    def test_commuting_generators_grow_closures_not_subsets(self):
+        # rank 20, every order 2: all 2^20 subsets are spherical, and the
+        # witness of s0 s1 is the closure of its least left descent alone
+        rank = 20
+        matrix = CoxeterMatrix.from_pairs([f"s{i}" for i in range(rank)], {})
+        w = matrix.element("s0 s1")
+        assert not is_torsion_free(w)
+        assert torsion_witness(w) == {0}
+        assert len(matrix._scratch["parabolic"]) < 40
 
 
 class TestClosureAndComponents:
