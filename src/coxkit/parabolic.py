@@ -274,16 +274,16 @@ def torsion_witness(w: Element) -> Optional[frozenset]:
     for every i in I.  For a left descent d, the least closed set holding d,
     cl(d), is grown from {d} by adding those supports; a closed I holding d
     holds cl(d), and a subset of a spherical set is spherical, so the witness
-    is the least spherical cl(d).  Each generator is conjugated by w at most
-    once, and a closure stops growing once it is no longer spherical or
-    larger than the least spherical one found: at most rank conjugations and
-    rank^2 sphericity tests, however many spherical subsets the system has.
+    is the least spherical cl(d).  cl(d) is grown from {d} by conjugating
+    the member added last, and abandoned as soon as it is not spherical.
+    The closures share their conjugates, so each generator is conjugated by
+    w at most once: at most rank conjugations, however many spherical
+    subsets the system has.
     """
     matrix = w.system
     images = {}
 
-    def closure(d, limit):
-        """cl(d), or None once it is not spherical or outgrows ``limit``."""
+    def closure(d):
         members, pending = {d}, [d]
         while pending:
             i = pending.pop()
@@ -293,18 +293,13 @@ def torsion_witness(w: Element) -> Optional[frozenset]:
             grown = image - members
             if grown:
                 members |= grown
-                if len(members) > limit or not is_spherical(matrix, members):
+                if not is_spherical(matrix, members):
                     return None
-                pending.extend(grown)
+                pending.extend(sorted(grown))
         return frozenset(members)
 
-    best = None
-    for d in sorted(left_descents(w)):
-        found = closure(d, len(best) if best else matrix.rank)
-        if found is not None and (best is None or
-                                  (len(found), sorted(found)) < (len(best), sorted(best))):
-            best = found
-    return best
+    closures = {closure(d) for d in left_descents(w)} - {None}
+    return min(closures, key=lambda c: (len(c), sorted(c)), default=None)
 
 
 def is_torsion_free(w: Element) -> bool:

@@ -10,8 +10,9 @@ move; conjugation as two products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup one product at a time; candidate membership by the
 support test; the torsion scan that lists the spherical subsets and
-conjugates a subset's generators afresh for every subset it tests, and the
-descent closures grown by fixpoint over two-product conjugates; the
+conjugates a subset's generators afresh for every subset it tests, the
+descent closures grown by fixpoint over two-product conjugates, and their
+search conjugating afresh for every closure it grows; the
 power-length profile that multiplies out every power in normal form;
 cyclic reducedness that reduces every rotation of every reduced word; the
 spherical subsets found by testing all 2^rank subsets; and element
@@ -351,6 +352,29 @@ def reference_descent_closure(w, d):
         if grown == members:
             return members
         members = grown
+
+
+def reference_descent_search(w, conjugated):
+    """The spherical descent closures as the torsion scan grows them: from
+    {d}, conjugate the member added last (two products), add its support,
+    and abandon the closure as soon as it is not spherical.  Appends each
+    generator conjugated to ``conjugated``, once per closure that does."""
+    matrix = w.system
+    closures = set()
+    for d in sorted(left_descents(w)):
+        members, pending = {d}, [d]
+        while pending:
+            i = pending.pop()
+            conjugated.append(i)
+            grown = support(reference_conjugate(w, matrix.generator(i))) - members
+            if grown:
+                members |= grown
+                if not is_spherical(matrix, members):
+                    break
+                pending.extend(sorted(grown))
+        else:
+            closures.add(frozenset(members))
+    return closures
 
 
 def reference_torsion_witness(w, conjugated=None):
