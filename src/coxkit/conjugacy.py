@@ -38,6 +38,7 @@ from .core import (
     conjugate,
     reduce_word_with_path,
     support,
+    _conjugate_word,
     _exchange,
     _root_table,
     _search,
@@ -311,83 +312,74 @@ def is_finite_order(w: Element, cap: int = DEFAULT_CAP) -> bool:
                for v in kappa_closure(w, cap).nodes)
 
 
-def _cent_prime_candidates(matrix: CoxeterMatrix, cap: int) -> tuple:
-    """Spherical subgroups of the form w_I W_J w_I^-1, deduplicated by their
-    generating sets; each entry is (generators, w_I, J).  Not memoised:
-    :func:`_cent_prime_masks` memoises what is built from it."""
-    out = []
-    seen_gensets = set()
-    subsets = parabolic.spherical_subsets(matrix)
-    for members in subsets:
-        if not members:
-            continue
-        j_sets = [j_set for j_set in subsets if j_set and j_set <= members]
-        subgroup = oracle.enumerate_elements(matrix, None, cap=cap, letters=members)
-        for w_i in subgroup:
-            images = {j: conjugate(w_i, matrix.generator(j)) for j in members}
-            for j_set in j_sets:
-                gens = tuple(images[j] for j in sorted(j_set))
-                genset = frozenset(gens)
-                if genset in seen_gensets:
-                    continue
-                seen_gensets.add(genset)
-                out.append((gens, w_i, j_set))
-    return tuple(out)
+def _spherical_reflections(matrix: CoxeterMatrix, cap: int) -> tuple:
+    """R0, the canonical words of the reflections with spherical support.
 
+    A reflection in a spherical W_I is x s x^-1 with s in I and x in W_I
+    (W_I & T = T_I), so conjugating s by the letters of x never leaves I:
+    R0 is searched by the cyclic shifts s*r*s (``core._shift``) that keep
+    the support spherical, with every generator a move from every node.
+    Memoised per system; a hit of more than ``cap`` reflections is searched
+    again, so it refuses as on a fresh system."""
+    hit = matrix._scratch.get("spherical_reflections")
+    if hit is None or len(hit) > cap:
+        gens = [bytes((s,)) for s in range(matrix.rank)]
 
-def _cent_prime_masks(matrix: CoxeterMatrix, cap: int) -> tuple:
-    """Bitmasks over the candidates, bit c for candidate c: ``generates[g]``
-    marks the candidates that generator g generates, ``members[r]`` those whose
-    reflection set holds r.  The reflections of a candidate are the orbit of
-    its generators under conjugation by them.  Memoised per system."""
-    cache = matrix._scratch["cent_prime_masks"]
-    hit = cache.get(cap)
-    if hit is None:
-        generates, members = {}, {}
-        for c, (gens, _, _) in enumerate(_cent_prime_candidates(matrix, cap)):
-            orbit = list(gens)
-            for x in orbit:  # grows until closed under conjugation by gens
-                for g in gens:
-                    y = conjugate(g, x)
-                    if y not in orbit:
-                        orbit.append(y)
-            for g in gens:
-                generates[g] = generates.get(g, 0) | 1 << c
-            for r in orbit:
-                members[r] = members.get(r, 0) | 1 << c
-        hit = cache[cap] = (generates, members)
+        def moves(r):
+            for s, g in enumerate(gens):
+                yield g, None
+                x = _shift(matrix, r, s)
+                if parabolic.is_spherical(matrix, x):
+                    yield x, None
+
+        seen, _ = _search(gens[0], moves, cap, "spherical-reflection search")
+        hit = matrix._scratch["spherical_reflections"] = tuple(sorted(seen))
     return hit
 
 
 def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
-    """Along the whole closure of a cyclically reduced u: normalising any
-    spherical subgroup of the form w_I W_J w_I^-1 implies centralising it.
+    """Along the whole closure of a cyclically reduced u, normalising a
+    candidate, a subgroup w_I W_J w_I^-1 with I spherical, J a nonempty
+    subset of I and w_I in W_I, implies centralising it.
 
-    Each node w is tested through its reflection images w g w^-1, one for
-    each distinct candidate generator g; these generators form a set R0 of
-    reflections.  w normalises a candidate iff every image of its generators
-    lies in the candidate, and centralises it iff every such image is g.  An
-    image is a reflection, and a standard parabolic meets the reflections T
-    in its own ones, W_J & T = T_J = {x s_j x^-1 : x in W_J, j in J}; so the
-    reflections of w_I W_J w_I^-1 are the orbit of its generators under
-    conjugation by them, each (w_I x) s_j (w_I x)^-1 with w_I x in W_I, the
-    generator of the singleton candidate (I, w_I x, {j}), which is in R0.
-    An image r != g moves the candidates g generates and breaks those that
-    miss r (:func:`_cent_prime_masks`); Cent' fails where one is moved and
-    not broken.
+    Cent' fails at a closure node w iff w moves some g in R0, the
+    reflections with spherical support (:func:`_spherical_reflections`),
+    whose w-orbit {w^k g w^-k} has supports with a spherical union K.  An
+    orbit is grown one conjugation at a time and dropped as soon as the
+    union is not spherical, at once on an image outside R0.
+
+    * No such orbit implies Cent' (a NOT_CONJUGATE verdict rests on this
+      direction only).  If w normalises a candidate P and does not
+      centralise it, w moves a generator g = w_I s_j w_I^-1 of P, in R0;
+      P is finite, so w P w^-1 = P and the w-orbit of g lies in P, inside
+      W_I: the union of its supports lies in the spherical I.
+    * Such an orbit breaks Cent'.  The orbit is w-stable and lies in W_K,
+      so its parabolic closure Q = x W_J x^-1 (parabolic subgroups are
+      closed under intersection: Qi 2007; Krammer, Groups Geom. Dyn. 3,
+      2009) lies in W_K and is w-stable, and w moves g in Q.  With x = a d b,
+      a in W_K, b in W_J and d minimal in W_K d W_J, d W_J d^-1 lies in W_K,
+      so it is W_J' with J' = K & d J d^-1 (Kilmoyer), and Q = a W_J' a^-1
+      is a candidate with I = K that w normalises and does not centralise.
+
+    An orbit that stays spherical lies in R0, so beyond the closure and the
+    check that u is cyclically reduced, a call refuses (CapExceeded) only
+    when R0 has more than ``cap`` reflections.
     """
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
-    generates, members = _cent_prime_masks(u.system, cap)
+    matrix = u.system
+    reflections = _spherical_reflections(matrix, cap)
+    spherical = frozenset(reflections)
     for w in kappa_closure(u, cap).nodes:
-        moved = broken = 0
-        for g, mask in generates.items():
-            r = conjugate(w, g)
-            if r != g:
-                moved |= mask
-                broken |= mask & ~members.get(r, 0)
-        if moved & ~broken:
-            return False
+        for g in reflections:
+            union, r = frozenset(g), _conjugate_word(matrix, w.word, g)
+            while r != g and r in spherical:  # else the union is not spherical
+                union = union.union(r)
+                if not parabolic.is_spherical(matrix, union):
+                    break
+                r = _conjugate_word(matrix, w.word, r)
+                if r == g:
+                    return False
     return True
 
 

@@ -8,11 +8,11 @@ and must still match: separate breadth-first searches over explicit
 braid-move steps, which the engine's one orbit search must match move for
 move; conjugation as two products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
-candidate subgroup one product at a time; candidate membership by the
-support test; the torsion scan that lists the spherical subsets and
-conjugates a subset's generators afresh for every subset it tests, the
-descent closures grown by fixpoint over two-product conjugates, and their
-search conjugating afresh for every closure it grows; the
+candidate subgroup w_I W_J w_I^-1, listed by enumerating every spherical
+W_I, one product at a time; the torsion scan that lists the spherical
+subsets and conjugates a subset's generators afresh for every subset it
+tests, the descent closures grown by fixpoint over two-product conjugates,
+and their search conjugating afresh for every closure it grows; the
 power-length profile that multiplies out every power in normal form;
 cyclic reducedness that reduces every rotation of every reduced word; the
 spherical subsets found by testing all 2^rank subsets; and element
@@ -33,6 +33,8 @@ from coxkit import (
     braid_class,
     canonical_word,
     centralises,
+    conjugate,
+    enumerate_elements,
     inverse,
     is_cyclically_reduced,
     is_reduced,
@@ -44,7 +46,6 @@ from coxkit import (
     spherical_subsets,
     support,
 )
-from coxkit.conjugacy import _cent_prime_candidates
 from coxkit.errors import CapExceeded
 
 INF = math.inf
@@ -70,6 +71,11 @@ A3T = CoxeterMatrix.from_pairs(
 
 #: every system above
 ALL_SYSTEMS = (A1, A2, A1A1, B2, DINF, A3, B3, A2T, U3, H3, B2T, G2T, T237, A3T)
+
+#: D_inf x A2 and D_inf x B2 (s, t of infinite order; a, b of order 3 or 4):
+#: elements of infinite order without Cent', such as s t a, which moves b
+DINF_A2 = CoxeterMatrix.from_pairs("stab", {("s", "t"): INF, ("a", "b"): 3})
+DINF_B2 = CoxeterMatrix.from_pairs("stab", {("s", "t"): INF, ("a", "b"): 4})
 
 #: systems named by the word-problem equivalence sweep
 WORD_PROBLEM_SYSTEMS = (A3, B3, A2T, DINF, U3)
@@ -289,11 +295,29 @@ def reference_closure_search(u, cap=DEFAULT_CAP):
     return nodes, parents
 
 
-def reference_in_candidate(candidate, r):
-    """Whether r lies in the candidate w_I W_J w_I^-1: iff w_I^-1 r w_I has
-    support inside J."""
-    _, w_i, j_set = candidate
-    return support(reference_conjugate(inverse(w_i), r)) <= j_set
+@lru_cache(maxsize=None)
+def reference_cent_prime_candidates(matrix, cap=DEFAULT_CAP):
+    """Spherical subgroups of the form w_I W_J w_I^-1, deduplicated by their
+    generating sets; each entry is (generators, w_I, J).  Built by
+    enumerating every spherical W_I, once per system: the reference scan
+    reads them for every element it checks."""
+    out = []
+    seen_gensets = set()
+    subsets = spherical_subsets(matrix)
+    for members in subsets:
+        if not members:
+            continue
+        j_sets = [j_set for j_set in subsets if j_set and j_set <= members]
+        for w_i in enumerate_elements(matrix, None, cap=cap, letters=members):
+            images = {j: conjugate(w_i, matrix.generator(j)) for j in members}
+            for j_set in j_sets:
+                gens = tuple(images[j] for j in sorted(j_set))
+                genset = frozenset(gens)
+                if genset in seen_gensets:
+                    continue
+                seen_gensets.add(genset)
+                out.append((gens, w_i, j_set))
+    return tuple(out)
 
 
 def _reference_normalises_conjugated(w, gens, w_i, j_set):
@@ -307,17 +331,13 @@ def _reference_normalises_conjugated(w, gens, w_i, j_set):
     return True
 
 
-# the engine memoises only the masks built from the candidates
-_candidates = lru_cache(maxsize=None)(_cent_prime_candidates)
-
-
 def reference_has_cent_prime(u, cap=DEFAULT_CAP):
     """The per-candidate Cent' scan: for every closure node and every
     candidate w_I W_J w_I^-1, conjugate each generator and pull it back by
     w_I; a normalised candidate must be centralised."""
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
-    candidates = _candidates(u.system, cap)
+    candidates = reference_cent_prime_candidates(u.system, cap)
     for w in sorted(reference_closure(u, cap)):
         for gens, w_i, j_set in candidates:
             if _reference_normalises_conjugated(w, gens, w_i, j_set):

@@ -491,11 +491,27 @@ class TestCentralisingProperty:
         with pytest.raises(ValueError):
             has_cent_prime(a2.element("sts"))
 
-    def test_memoises_the_masks_not_the_candidates(self, a2t):
+    def test_memoises_the_spherical_reflections(self, a2t):
         matrix = CoxeterMatrix(a2t.names, a2t.table)
         assert has_cent_prime(matrix.element("tustuts"))
-        assert matrix._scratch["cent_prime_masks"]
-        assert "cent_prime_candidates" not in matrix._scratch
+        reflections = matrix._scratch["spherical_reflections"]
+        assert reflections == tuple(sorted(
+            matrix.word(word) for word in ("s", "t", "u", "sts", "sus", "tut")))
+        assert has_cent_prime(matrix.element("stu"))
+        assert matrix._scratch["spherical_reflections"] is reflections
+        assert "cent_prime_masks" not in matrix._scratch
+
+    def test_refuses_only_while_the_spherical_reflections_exceed_the_cap(self, a3):
+        # A3 has 24 elements but 6 reflections: the orbit rule enumerates no
+        # element, so s1 is answered from cap 6 on, on a fresh system and on
+        # one whose reflections are memoised
+        warm = CoxeterMatrix(a3.names, a3.table)
+        assert has_cent_prime(warm.element("s1")) is False
+        for matrix in (CoxeterMatrix(a3.names, a3.table), warm):
+            with pytest.raises(CapExceeded,
+                               match="spherical-reflection search exceeded the node cap of 5"):
+                has_cent_prime(matrix.element("s1"), cap=5)
+            assert has_cent_prime(matrix.element("s1"), cap=6) is False
 
     def test_matches_definitional_scan(self, a2, a2t):
         for matrix, texts in (

@@ -10,16 +10,17 @@ for every subset.
 resuming the shifts of the previous word at their common prefix, instead of
 reducing every rotation, and keeps each distinct target
 with its first witness; ``kappa_closure`` searches only those targets
-instead of every move.  ``has_cent_prime`` reads candidate membership of
-reflection images from bitmasks over the candidates' reflection sets instead
-of scanning every candidate subgroup product by product.  All must agree
-with the reference engines in ``helpers`` exactly: conjugates and normaliser
-tests for every pair of elements of at most 3 letters; distinct targets with
-their first witnesses in order of first appearance, and closure nodes and
-parents (previous node, reduced word, rotation) on every element of the
-sweep (949 of them); every membership bit against the support test; and
-Cent' verdicts on every cyclically reduced element (548 of them; of the 127
-false ones, 57 lie in the finite systems).
+instead of every move.  ``has_cent_prime`` follows the orbits of the
+reflections with spherical support (R0) under each closure node instead of
+listing every candidate subgroup w_I W_J w_I^-1 and scanning each product
+by product.  All must agree with the reference engines in ``helpers``
+exactly: conjugates and normaliser tests for every pair of elements of at
+most 3 letters; distinct targets with their first witnesses in order of
+first appearance, and closure nodes and parents (previous node, reduced
+word, rotation) on every element of the sweep (949 of them); R0 against the
+generators of every reference candidate; and Cent' verdicts on every
+cyclically reduced element of the sweep and of D_inf x A2 and D_inf x B2 up
+to 5 letters, where Cent' also fails on elements of infinite order.
 """
 
 import itertools
@@ -34,16 +35,13 @@ from coxkit import (
     enumerate_elements,
     has_cent_prime,
     is_cyclically_reduced,
+    is_finite_order,
     kappa_closure,
     normalises,
     support,
     torsion_witness,
 )
-from coxkit.conjugacy import (
-    _cent_prime_candidates,
-    _cent_prime_masks,
-    _elementary_targets,
-)
+from coxkit.conjugacy import _elementary_targets, _spherical_reflections
 from coxkit.core import _conjugate_word
 
 # system, longest element length swept
@@ -81,18 +79,25 @@ def test_closure_parents_match_reference(matrix, max_len):
         assert dict(closure.parents) == ref_parents, u
 
 
-@pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
-def test_cent_prime_membership_matches_reference(matrix, max_len):
-    candidates = _cent_prime_candidates(matrix, DEFAULT_CAP)
-    generates, members = _cent_prime_masks(matrix, DEFAULT_CAP)
-    assert set(members) <= set(generates)
-    for c, candidate in enumerate(candidates):
-        for r in generates:
-            in_mask = bool(members.get(r, 0) >> c & 1)
-            assert in_mask == helpers.reference_in_candidate(candidate, r), (candidate, r)
+# system, longest element length swept for Cent'
+CENT_PRIME_SYSTEMS = {
+    **SYSTEMS,
+    "DinfxA2": (helpers.DINF_A2, 5),
+    "DinfxB2": (helpers.DINF_B2, 5),
+}
 
 
-@pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
+@pytest.mark.parametrize("matrix, max_len", CENT_PRIME_SYSTEMS.values(),
+                         ids=CENT_PRIME_SYSTEMS.keys())
+def test_spherical_reflections_match_reference(matrix, max_len):
+    candidates = helpers.reference_cent_prime_candidates(matrix)
+    generators = {g for gens, _, _ in candidates for g in gens}
+    reflections = _spherical_reflections(matrix, DEFAULT_CAP)
+    assert reflections == tuple(sorted(g.word for g in generators))
+
+
+@pytest.mark.parametrize("matrix, max_len", CENT_PRIME_SYSTEMS.values(),
+                         ids=CENT_PRIME_SYSTEMS.keys())
 def test_cent_prime_matches_reference(matrix, max_len):
     verdicts = []
     for u in enumerate_elements(matrix, max_len):
@@ -101,6 +106,13 @@ def test_cent_prime_matches_reference(matrix, max_len):
             assert verdict == helpers.reference_has_cent_prime(u), u
             verdicts.append(verdict)
     assert verdicts
+
+
+def test_infinite_order_elements_without_cent_prime():
+    for matrix in (helpers.DINF_A2, helpers.DINF_B2):
+        assert not is_finite_order(matrix.element("sta"))
+        assert not has_cent_prime(matrix.element("sta"))
+        assert has_cent_prime(matrix.element("st"))
 
 
 def test_finite_systems_give_false_verdicts():
