@@ -123,44 +123,45 @@ def parse_step(matrix: CoxeterMatrix, line: str) -> Step:
 # the move system
 
 
-def _rotation_walk(u: Element, cap: int):
-    """Every reduced word rho of u, shortlex, with ``common``, the length of
-    its common prefix with the previous one, and a stack whose k-th word is
-    the rotation of rho by k, x^-1 u x with x = rho[:k]: one memoised shift
-    s*v*s of the (k-1)-th by rho[k-1] (``core._shift``).  rho resumes the
+def _rotation_walk(matrix: CoxeterMatrix, word: Word, cap: int):
+    """Every reduced word rho of the element with canonical word ``word``,
+    shortlex, with ``common``, the length of its common prefix with the
+    previous one, and a stack whose k-th word is the rotation of rho by k,
+    x^-1 u x with x = rho[:k]: one shift s*v*s of the (k-1)-th by rho[k-1],
+    read from the shift memo (``core._shift`` on a miss).  rho resumes the
     previous word's stack after ``common`` letters; the list is reused."""
-    matrix = u.system
-    stack = [u.word]
-    words = sorted(braid_class(matrix, u.word, cap))
+    shifts = matrix._scratch["shift"]
+    stack = [word]
+    words = sorted(braid_class(matrix, word, cap))
     for prev, rho in zip([b""] + words, words):
         common = 0
         while common < len(prev) and prev[common] == rho[common]:
             common += 1
         del stack[common + 1:]
         for s in rho[common:]:
-            stack.append(_shift(matrix, stack[-1], s))
+            v = stack[-1]
+            stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
         yield rho, common, stack
 
 
-def _elementary_targets(u: Element, cap: int = DEFAULT_CAP) -> tuple:
-    """``(targets, words)``: every element spelled by a rotation of a reduced
-    word of u, in order of first appearance (reduced words shortlex, then
-    rotation amount), each mapped to its first witness (rho, k), and the
+def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CAP) -> tuple:
+    """``(targets, words)`` for the element with canonical word ``word``:
+    the canonical word of each element spelled by a rotation of one of its
+    reduced words, in order of first appearance (reduced words shortlex,
+    then rotation amount), mapped to its first witness (rho, k), and the
     number of reduced words walked.  Memoised per system; a hit over ``cap``
     words is walked again, so :func:`braid_class` refuses as on a fresh
     system.  Rotations shared with the previous reduced word are skipped."""
-    matrix = u.system
     cache = matrix._scratch["elementary_targets"]
-    hit = cache.get(u.word)
+    hit = cache.get(word)
     if hit is None or hit[1] > cap:
         found = {}
         words = 0
-        for rho, common, stack in _rotation_walk(u, cap):
+        for rho, common, stack in _rotation_walk(matrix, word, cap):
             words += 1
             for k in range(common + 1, len(rho) + 1):
                 found.setdefault(stack[k], (rho, k))
-        hit = cache[u.word] = ({Element(matrix, word): witness
-                                for word, witness in found.items()}, words)
+        hit = cache[word] = (found, words)
     return hit
 
 
@@ -168,7 +169,8 @@ def elementary_related(u: Element, cap: int = DEFAULT_CAP) -> frozenset:
     """Elements spelled by rotations of reduced words of u (includes u)."""
     if u.is_identity():
         return frozenset({u})
-    return frozenset(_elementary_targets(u, cap)[0])
+    return frozenset(Element(u.system, target)
+                     for target in _elementary_targets(u.system, u.word, cap)[0])
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,8 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
     memoised targets, so it refuses exactly as on a fresh system, naming the
     same search.
     """
-    cache = u.system._scratch["closure"]
+    matrix = u.system
+    cache = matrix._scratch["closure"]
     hit = cache.get(u.word)
     if hit is not None and max(hit.peak, len(hit.nodes)) <= cap:
         return hit
@@ -206,18 +209,19 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
 
     def moves(v):
         nonlocal peak
-        targets, words = _elementary_targets(v, cap)
+        targets, words = _elementary_targets(matrix, v, cap)
         peak = max(peak, words)
         return targets.items()
 
     parents = {}
-    seen, _ = _search(u, moves, cap, "cyclic-shift closure", parents=parents)
-    nodes = tuple(sorted(seen, key=lambda v: (len(v.word), v.word)))
+    seen, _ = _search(u.word, moves, cap, "cyclic-shift closure", parents=parents)
+    element = {v: Element(matrix, v) for v in sorted(seen, key=lambda v: (len(v), v))}
+    nodes = tuple(element.values())
     low = nodes[0].length
     record = KappaClosure(
         start=u,
         nodes=nodes,
-        parents=MappingProxyType({v: (prev, rho, k)
+        parents=MappingProxyType({element[v]: (element[prev], rho, k)
                                   for v, (prev, (rho, k)) in parents.items()}),
         min_length=low,
         min_stratum=tuple(v for v in nodes if v.length == low),
@@ -270,18 +274,18 @@ def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
     one of which must keep the length of w.  The targets are memoised with
     the number of reduced words walked, so a hit over ``cap`` refuses as on a
     fresh system."""
-    word, letters = w.word, set(w.word)
+    matrix, word, letters = w.system, w.word, set(w.word)
     k = len(letters)
-    if (word and word not in w.system._scratch["elementary_targets"]
+    if (word and word not in matrix._scratch["elementary_targets"]
             and k * (k - 1) ** (len(word) - 1) <= cap):
-        act, rev = _root_table(w.system), word[::-1]
+        act, rev = _root_table(matrix), word[::-1]
         for s in letters:
             i = _exchange(act, rev, s)  # s*w = w minus its letter at -1 - i
             if i is not None:
                 j = len(word) - 1 - i
                 if _exchange(act, word[:j] + word[j + 1:], s) is not None:
                     return False
-    return all(t.length == w.length for t in _elementary_targets(w, cap)[0])
+    return all(len(t) == len(word) for t in _elementary_targets(matrix, word, cap)[0])
 
 
 def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
@@ -308,7 +312,7 @@ def is_finite_order(w: Element, cap: int = DEFAULT_CAP) -> bool:
     Sound because such a node lies in a finite standard parabolic subgroup;
     complete because a finite-order element always reaches one by these moves.
     """
-    return any(parabolic.is_spherical(w.system, support(v))
+    return any(parabolic._is_spherical(w.system, support(v))
                for v in kappa_closure(w, cap).nodes)
 
 
@@ -329,7 +333,7 @@ def _spherical_reflections(matrix: CoxeterMatrix, cap: int) -> tuple:
             for s, g in enumerate(gens):
                 yield g, None
                 x = _shift(matrix, r, s)
-                if parabolic.is_spherical(matrix, x):
+                if parabolic._is_spherical(matrix, frozenset(x)):
                     yield x, None
 
         seen, _ = _search(gens[0], moves, cap, "spherical-reflection search")
@@ -375,7 +379,7 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
             union, r = frozenset(g), _conjugate_word(matrix, w.word, g)
             while r != g and r in spherical:  # else the union is not spherical
                 union = union.union(r)
-                if not parabolic.is_spherical(matrix, union):
+                if not parabolic._is_spherical(matrix, union):
                     break
                 r = _conjugate_word(matrix, w.word, r)
                 if r == g:

@@ -369,13 +369,16 @@ def _exchange(act: dict, word, s: int) -> Optional[int]:
     return None
 
 
-def _reduce(act: dict, word: Word) -> Word:
-    """A reduced word for the element spelled by ``word``.
+def _reduce(act: dict, word: Word, prefix: Word = b"") -> Word:
+    """A reduced word for the element spelled by ``prefix + word``, for a
+    reduced ``prefix``.
 
     Appends letter after letter, deleting at the exchange position (the walk
-    of :func:`_exchange`, inlined: this loop is the engine's hot path).
+    of :func:`_exchange`, inlined: this loop is the engine's hot path).  The
+    letters of a reduced prefix would all be appended unchanged, so the walk
+    resumes after them.
     """
-    out = bytearray()
+    out = bytearray(prefix)
     for s in word:
         beta = s
         for i in range(len(out) - 1, -1, -1):

@@ -28,7 +28,6 @@ from .core import (
     _exchange,
     _root_table,
     _search,
-    _shortlex,
     conjugate,
     multiply,
 )
@@ -114,27 +113,33 @@ def enumerate_elements(matrix: CoxeterMatrix, max_len: Optional[int], *,
                        cap: int = DEFAULT_CAP, letters=None) -> tuple:
     """All elements of length <= max_len, canonically ordered.
 
-    Breadth-first right multiplication by generators, keeping only the
-    products that gain length: g extends x iff the exchange walk finds no
-    deletion, and then the word of x followed by g is reduced, so its normal
-    form is built directly, with no product and no memo entry.
+    Breadth-first left multiplication by generators: y = g*x is kept only
+    when g is not a left descent of x and is the least left descent of y, so
+    each element is found once, and its normal form is g followed by that of
+    x (a suffix of a shortlex-least word is shortlex-least): no product, no
+    memo entry.  A left descent t < g of y generates a finite group with g,
+    so only ``_descent_candidates[g]`` are tested.  The search holds
+    reversed words, whose right descents are the left ones.
     ``max_len=None`` bounds no length, so it returns the whole group for
     finite systems (and raises CapExceeded for infinite ones).
     ``letters`` restricts multiplication to a generator subset, enumerating
     the standard parabolic subgroup it generates.
     """
     gens = sorted(letters) if letters is not None else range(matrix.rank)
-    gens = [matrix.generator(i).word for i in gens]
-    act = _root_table(matrix)
+    gens = [matrix.generator(i).word[0] for i in gens]
+    act, candidates = _root_table(matrix), matrix._descent_candidates
 
-    def moves(x):
-        if max_len is None or x.length < max_len:
+    def moves(rev):
+        if max_len is None or len(rev) < max_len:
             for g in gens:
-                if _exchange(act, x.word, g[0]) is None:
-                    yield Element(matrix, _shortlex(matrix, act, x.word + g)), g
+                if _exchange(act, rev, g) is None:
+                    grown = rev + bytes((g,))
+                    if all(_exchange(act, grown, t) is None for t in candidates[g]):
+                        yield grown, g
 
-    seen, _ = _search(matrix.identity(), moves, cap, "element enumeration")
-    return tuple(sorted(seen))
+    seen, _ = _search(b"", moves, cap, "element enumeration")
+    words = sorted((rev[::-1] for rev in seen), key=lambda word: (len(word), word))
+    return tuple(Element(matrix, word) for word in words)
 
 
 def whole_group(matrix: CoxeterMatrix, *, cap: int = DEFAULT_CAP, letters=None) -> tuple:

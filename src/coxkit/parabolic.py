@@ -163,7 +163,12 @@ def _component_is_finite_type(matrix: CoxeterMatrix, comp: frozenset) -> bool:
 
 def is_spherical(matrix: CoxeterMatrix, subset: Members) -> bool:
     """True iff the subset generates a finite standard parabolic subgroup."""
-    members = _members(matrix, subset)
+    return _is_spherical(matrix, _members(matrix, subset))
+
+
+def _is_spherical(matrix: CoxeterMatrix, members: frozenset) -> bool:
+    """:func:`is_spherical` for a frozenset of valid generator indices, as the
+    engine builds them: memoised per system, with no validation."""
     key = ("spherical", members)
     cache = matrix._scratch["parabolic"]
     hit = cache.get(key)
@@ -284,7 +289,7 @@ def torsion_witness(w: Element) -> Optional[frozenset]:
     images = {}
 
     def closure(d):
-        members, pending = {d}, [d]
+        members, pending = frozenset({d}), [d]
         while pending:
             i = pending.pop()
             image = images.get(i)
@@ -293,10 +298,10 @@ def torsion_witness(w: Element) -> Optional[frozenset]:
             grown = image - members
             if grown:
                 members |= grown
-                if not is_spherical(matrix, members):
+                if not _is_spherical(matrix, members):
                     return None
                 pending.extend(sorted(grown))
-        return frozenset(members)
+        return members
 
     closures = {closure(d) for d in left_descents(w)} - {None}
     return min(closures, key=lambda c: (len(c), sorted(c)), default=None)

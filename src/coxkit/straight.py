@@ -81,8 +81,9 @@ def power_length_profile(w: Element, n_max: int) -> tuple:
     """Exact lengths l(w^1), ..., l(w^n_max); they may oscillate for torsion.
 
     Only lengths are needed, so each power is kept as a reduced word, the
-    previous one with the word of w appended and reduced by the exchange
-    walk; no normal form is built.
+    previous one with the word of w appended; the reduction resumes after
+    that reduced prefix, so the profile appends n * l(w) letters in all,
+    not n(n+1)/2 * l(w).  No normal form is built.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -90,7 +91,7 @@ def power_length_profile(w: Element, n_max: int) -> tuple:
     out = []
     acc = b""
     for _ in range(n_max):
-        acc = _reduce(act, acc + w.word)
+        acc = _reduce(act, w.word, acc)
         out.append(len(acc))
     return tuple(out)
 

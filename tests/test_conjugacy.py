@@ -92,11 +92,11 @@ class TestKappaClosure:
         # every node's first witness of each target conjugates by the
         # rotated prefix
         for src in kappa_closure(a2t.element("tustuts")).nodes:
-            targets, _ = _elementary_targets(src)
+            targets, _ = _elementary_targets(a2t, src.word)
             assert targets
             for dst, (rho, k) in targets.items():
                 prefix = reduce_word(a2t, rho[:k])
-                assert multiply(multiply(inverse(prefix), src), prefix) == dst
+                assert multiply(multiply(inverse(prefix), src), prefix).word == dst
 
     def test_symmetry_on_length_preserved_orbits(self, a2t):
         for text in ("stu", "tustuts", "usts"):

@@ -18,7 +18,7 @@ from coxkit import (
     right_descents,
     support,
 )
-from coxkit.core import _search
+from coxkit.core import _reduce, _root_table, _search
 from coxkit.errors import CapExceeded, MalformedMatrix, NotReduced, WordSyntaxError
 
 
@@ -218,6 +218,16 @@ class TestReduce:
         assert canonical_word(matrix, word) == matrix.word("s2 s3 s2")
         assert matrix._scratch["canon"].keys() == {
             word, matrix.word("s3 s2 s3"), matrix.word("s2 s3 s2")}
+
+    @pytest.mark.parametrize("matrix", helpers.WORD_PROBLEM_SYSTEMS,
+                             ids=lambda m: "".join(m.names))
+    def test_reduction_resumes_after_a_reduced_prefix(self, matrix):
+        act = _root_table(matrix)
+        words = list(helpers.all_words(matrix, 5))
+        prefixes = [p for p in words if is_reduced(matrix, p)]
+        for prefix in prefixes:
+            for word in words:
+                assert _reduce(act, word, prefix) == _reduce(act, prefix + word), (prefix, word)
 
     def test_canonical_is_least_class_member(self, a2t, b3):
         for matrix in (a2t, b3):

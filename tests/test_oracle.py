@@ -15,6 +15,7 @@ from coxkit import (
     reduce_word,
     whole_group,
 )
+from coxkit import core, oracle
 from coxkit.cli import EXIT_USAGE, run
 from coxkit.core import CoxeterMatrix
 from coxkit.errors import CapExceeded, WordSyntaxError
@@ -97,6 +98,40 @@ class TestEnumeration:
     def test_canonical_ordering(self, b3):
         elements = enumerate_elements(b3, 4)
         assert list(elements) == sorted(elements)
+
+    def test_builds_normal_forms_without_stripping_descents(self, monkeypatch):
+        # each normal form is a least left descent followed by a normal form
+        # found before it: nothing is stripped and nothing is memoised
+        # beyond the root table
+        calls = []
+        original = core._shortlex
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(core, "_shortlex", counted)
+        monkeypatch.setattr(oracle, "_shortlex", counted, raising=False)
+        for matrix in helpers.ALL_SYSTEMS:
+            fresh = CoxeterMatrix(matrix.names, matrix.table)
+            assert len(enumerate_elements(fresh, 5)) > 1
+            assert not calls, matrix
+            assert {name for name, memo in fresh._scratch.items() if memo} == {"roots"}
+
+    @pytest.mark.parametrize("matrix, size", [
+        (helpers.A3, 24),
+        (helpers.B3, 48),
+        (helpers.H3, 120),
+        (CoxeterMatrix.from_pairs(["s1", "s2", "s3", "s4"],
+                                  {("s1", "s2"): 4, ("s2", "s3"): 3, ("s3", "s4"): 3}), 384),
+        (CoxeterMatrix.from_pairs(["s1", "s2", "s3", "s4"],
+                                  {("s1", "s2"): 3, ("s2", "s3"): 3, ("s2", "s4"): 3}), 192),
+    ], ids=["A3", "B3", "H3", "B4", "D4"])
+    def test_whole_groups_match_the_reference(self, matrix, size):
+        fresh = CoxeterMatrix(matrix.names, matrix.table)
+        elements = enumerate_elements(fresh, None)
+        assert len(elements) == size
+        assert elements == helpers.reference_enumerate_elements(matrix, None)
 
     def test_lengths_respect_bound(self, a2t):
         assert all(e.length <= 5 for e in enumerate_elements(a2t, 5))

@@ -66,6 +66,21 @@ class TestSphericity:
     def test_infinite_dihedral(self, dinf):
         assert not is_spherical(dinf, {0, 1})
 
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+    def test_unvalidated_form_agrees_with_the_public_one(self, matrix):
+        # each on its own fresh system, so neither reads the other's memo
+        ours = CoxeterMatrix(matrix.names, matrix.table)
+        theirs = CoxeterMatrix(matrix.names, matrix.table)
+        for size in range(matrix.rank + 1):
+            for combo in itertools.combinations(range(matrix.rank), size):
+                assert parabolic._is_spherical(ours, frozenset(combo)) == \
+                    is_spherical(theirs, combo), combo
+
+    def test_public_test_validates_its_indices(self, a2t):
+        for subset in ({0, 3}, {-1}, {"s"}):
+            with pytest.raises(ValueError):
+                is_spherical(a2t, subset)
+
     def test_classification_table(self):
         # finite types of every family
         assert is_spherical(_path([3, 3, 3]), range(4))          # A4

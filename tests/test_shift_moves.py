@@ -64,8 +64,8 @@ def test_targets_match_reference(matrix, max_len):
     for u in enumerate_elements(matrix, max_len):
         expected = {}
         for rho, k, target in helpers.reference_elementary_edges(u):
-            expected.setdefault(target, (rho, k))
-        targets, words = _elementary_targets(u)
+            expected.setdefault(target.word, (rho, k))
+        targets, words = _elementary_targets(matrix, u.word)
         assert list(targets.items()) == list(expected.items()), u
         assert words == len(braid_class(matrix, u.word)), u
 

@@ -60,6 +60,10 @@ class TestPowerLengthProfile:
             3 * n for n in range(1, 11)
         )
 
+    def test_coxeter_element_matches_normal_form_products(self, a2t):
+        stu = a2t.element("stu")
+        assert power_length_profile(stu, 40) == helpers.reference_power_length_profile(stu, 40)
+
     def test_worked_example_square_defect(self, a2t):
         profile = power_length_profile(a2t.element("tustuts"), 2)
         assert profile[1] == 12 != 14
