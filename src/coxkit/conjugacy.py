@@ -123,27 +123,6 @@ def parse_step(matrix: CoxeterMatrix, line: str) -> Step:
 # the move system
 
 
-def _rotation_walk(matrix: CoxeterMatrix, word: Word, cap: int):
-    """Every reduced word rho of the element with canonical word ``word``,
-    shortlex, with ``common``, the length of its common prefix with the
-    previous one, and a stack whose k-th word is the rotation of rho by k,
-    x^-1 u x with x = rho[:k]: one shift s*v*s of the (k-1)-th by rho[k-1],
-    read from the shift memo (``core._shift`` on a miss).  rho resumes the
-    previous word's stack after ``common`` letters; the list is reused."""
-    shifts = matrix._scratch["shift"]
-    stack = [word]
-    words = sorted(braid_class(matrix, word, cap))
-    for prev, rho in zip([b""] + words, words):
-        common = 0
-        while common < len(prev) and prev[common] == rho[common]:
-            common += 1
-        del stack[common + 1:]
-        for s in rho[common:]:
-            v = stack[-1]
-            stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
-        yield rho, common, stack
-
-
 def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CAP) -> tuple:
     """``(targets, words)`` for the element with canonical word ``word``:
     the canonical word of each element spelled by a rotation of one of its
@@ -151,17 +130,27 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
     then rotation amount), mapped to its first witness (rho, k), and the
     number of reduced words walked.  Memoised per system; a hit over ``cap``
     words is walked again, so :func:`braid_class` refuses as on a fresh
-    system.  Rotations shared with the previous reduced word are skipped."""
+    system.  ``stack[k]`` is the rotation of rho by k, x^-1 u x with
+    x = rho[:k]: the shift of ``stack[k-1]`` by rho[k-1], read from the shift
+    memo (``core._shift`` on a miss).  It is kept up to the common prefix of
+    rho with the previous reduced word, so shared rotations are not redone."""
     cache = matrix._scratch["elementary_targets"]
     hit = cache.get(word)
     if hit is None or hit[1] > cap:
+        shifts = matrix._scratch["shift"]
+        words = sorted(braid_class(matrix, word, cap))
         found = {}
-        words = 0
-        for rho, common, stack in _rotation_walk(matrix, word, cap):
-            words += 1
-            for k in range(common + 1, len(rho) + 1):
-                found.setdefault(stack[k], (rho, k))
-        hit = cache[word] = (found, words)
+        stack = [word]
+        for prev, rho in zip([b""] + words, words):
+            common = 0
+            while common < len(prev) and prev[common] == rho[common]:
+                common += 1
+            del stack[common + 1:]
+            for k in range(common, len(rho)):
+                v, s = stack[k], rho[k]
+                stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
+                found.setdefault(stack[-1], (rho, k + 1))
+        hit = cache[word] = (found, len(words))
     return hit
 
 
@@ -264,27 +253,20 @@ def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
 
     First, one descent pair: for a left descent s of w, some reduced word of
     w is s*sigma with sigma spelling sw, and if s is also a right descent of
-    sw, its rotation sigma*s is not reduced, so w is not cyclically reduced
-    (two exchange walks per s, no search).  That exit is taken only when
-    ``cap`` is at least k*(k-1)^(l-1), for k letters in the support and
-    length l: the number of words of length l over the support without an
-    equal adjacent pair, which bounds the braid class, so the full answer
-    below could not have refused.  Otherwise, and whenever the targets are
-    memoised (reading them is cheaper), read off the rotation targets, every
-    one of which must keep the length of w.  The targets are memoised with
-    the number of reduced words walked, so a hit over ``cap`` refuses as on a
-    fresh system."""
-    matrix, word, letters = w.system, w.word, set(w.word)
-    k = len(letters)
-    if (word and word not in matrix._scratch["elementary_targets"]
-            and k * (k - 1) ** (len(word) - 1) <= cap):
-        act, rev = _root_table(matrix), word[::-1]
-        for s in letters:
-            i = _exchange(act, rev, s)  # s*w = w minus its letter at -1 - i
-            if i is not None:
-                j = len(word) - 1 - i
-                if _exchange(act, word[:j] + word[j + 1:], s) is not None:
-                    return False
+    sw, its rotation sigma*s is not reduced, so w is not cyclically reduced.
+    That takes two exchange walks per letter of the support and visits no
+    search node, so it answers at every cap, whatever the memos hold.
+    Otherwise read off the rotation targets, every one of which must keep
+    the length of w; they are memoised with the number of reduced words
+    walked, so a hit over ``cap`` refuses as on a fresh system."""
+    matrix, word = w.system, w.word
+    act, rev = _root_table(matrix), word[::-1]
+    for s in set(word):
+        i = _exchange(act, rev, s)  # s*w = w minus its letter at -1 - i
+        if i is not None:
+            j = len(word) - 1 - i
+            if _exchange(act, word[:j] + word[j + 1:], s) is not None:
+                return False
     return all(len(t) == len(word) for t in _elementary_targets(matrix, word, cap)[0])
 
 

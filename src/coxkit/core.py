@@ -21,7 +21,15 @@ searching the graph of braid moves, ``_braid_orbit`` (Tits: two reduced words
 spell the same element iff braid moves connect them).  That search, the
 cyclic-shift closure and element enumeration are all ``_search``, one capped
 breadth-first search and the only place the node cap is checked: exceeding
-it raises CapExceeded rather than returning a guess.
+it raises CapExceeded rather than returning a guess.  Every function that
+takes a ``cap`` keeps one contract, so refusals are monotone in the cap and
+independent of memo state:
+
+  * a call refuses iff the search nodes that its own algorithm visits on a
+    fresh system exceed the cap;
+  * a memo hit refuses exactly as that fresh call would;
+  * a test that visits no search node answers at every cap.
+
 All values are immutable after construction; the per-system dictionaries on
 :class:`CoxeterMatrix` are memo caches only, and hold only what is read
 again: normal forms and cyclic shifts, never a braid class.

@@ -36,7 +36,7 @@ from .core import (
 )
 from .conjugacy import (
     MoveCertificate,
-    _path_certificate,
+    cyclic_reduce,
     is_cyclically_reduced,
     kappa_closure,
 )
@@ -129,9 +129,7 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
         return hit[0]
     closure = kappa_closure(w, cap)
     if not closure.length_preserved:
-        shortest = closure.nodes[0]
-        cert = _path_certificate(w, closure.parents, shortest, cap)
-        return StraightnessVerdict(False, ShorterConjugate(shortest, cert))
+        return StraightnessVerdict(False, ShorterConjugate(*cyclic_reduce(w, cap)))
     verdict = StraightnessVerdict(True)
     for node in closure.nodes:
         witness = parabolic.torsion_witness(node)

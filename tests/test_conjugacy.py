@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,8 @@ from coxkit import (
     has_cent_prime,
     inverse,
     is_cyclically_reduced,
+    is_cfc,
+    is_fc,
     is_finite_order,
     is_min_in_conjugacy_class,
     is_straight,
@@ -28,7 +32,7 @@ from coxkit import (
     spherical_subsets,
 )
 from coxkit.conjugacy import MoveCertificate, _elementary_targets
-from coxkit.core import BraidStep, CoxeterMatrix, RotateStep
+from coxkit.core import DEFAULT_CAP, BraidStep, CoxeterMatrix, RotateStep
 from coxkit.errors import CapExceeded, ReplayError
 from coxkit.straight import NonTorsionFreeMember
 
@@ -240,9 +244,11 @@ class TestCyclicReducedness:
             assert is_cyclically_reduced(ours.element(e.word)) == \
                 helpers.reference_is_cyclically_reduced(theirs.element(e.word)), e
 
-    def test_refuses_as_the_reference_at_every_cap(self, a3):
-        # A3's longest element has 16 reduced words: both refuse in the
-        # braid-move search below cap 16, on a warm system as on a fresh one
+    def test_answers_from_the_descent_pair_at_every_cap(self, a3):
+        # A3's longest element has 16 reduced words, and the reference
+        # refuses in their braid-move search below cap 16; the descent pair
+        # visits no search node, so the engine answers at every cap, on a
+        # warm system as on a fresh one
         def outcome(check, w, cap):
             try:
                 return repr(check(w, cap))
@@ -255,11 +261,10 @@ class TestCyclicReducedness:
         warm = fresh()
         assert not is_cyclically_reduced(warm)
         for cap in range(1, 18):
-            ours = outcome(is_cyclically_reduced, fresh(), cap)
-            assert ours == outcome(helpers.reference_is_cyclically_reduced, fresh(), cap)
-            assert ours == outcome(is_cyclically_reduced, warm, cap)
-            assert ours == (f"braid-move orbit exceeded the node cap of {cap}"
-                            if cap < 16 else "False"), cap
+            assert outcome(is_cyclically_reduced, fresh(), cap) == "False", cap
+            assert outcome(is_cyclically_reduced, warm, cap) == "False", cap
+            assert outcome(helpers.reference_is_cyclically_reduced, fresh(), cap) == (
+                f"braid-move orbit exceeded the node cap of {cap}" if cap < 16 else "False")
 
     @pytest.mark.parametrize("matrix, max_len", [(helpers.A2T, 7), (helpers.G2T, 7),
                                                  (helpers.T237, 7), (helpers.A3T, 6)],
@@ -281,30 +286,23 @@ class TestCyclicReducedness:
                 walked += not verdict
         assert rejected > walked
 
-    def test_descent_pair_refuses_only_below_the_word_count(self, a2t):
-        # sts has 2 reduced words and 2 words of 3 letters over {s, t}
-        # without a repeat: cap 1 refuses in the braid-move search as the
-        # reference does, caps 2 and 3 reject from the descent pair s, ts
-        def outcome(check, w, cap):
-            try:
-                return repr(check(w, cap))
-            except CapExceeded as exc:
-                return str(exc)
-
+    def test_descent_pair_answers_below_the_word_count(self, a2t):
+        # sts has 2 reduced words: the reference refuses at cap 1 in their
+        # braid-move search, while the descent pair s, ts rejects at every
+        # cap and walks no reduced word
         def fresh():
             return CoxeterMatrix(a2t.names, a2t.table).element("sts")
 
         warm = fresh()
         assert not is_cyclically_reduced(warm)
+        with pytest.raises(CapExceeded, match="braid-move orbit exceeded the node cap of 1"):
+            helpers.reference_is_cyclically_reduced(fresh(), 1)
         for cap in (1, 2, 3):
-            ours = outcome(is_cyclically_reduced, fresh(), cap)
-            assert ours == outcome(helpers.reference_is_cyclically_reduced, fresh(), cap)
-            assert ours == outcome(is_cyclically_reduced, warm, cap)
-            assert ours == ("braid-move orbit exceeded the node cap of 1"
-                            if cap == 1 else "False"), cap
-        w = fresh()
-        assert not is_cyclically_reduced(w, 2)
-        assert w.word not in w.system._scratch["elementary_targets"]
+            w = fresh()
+            assert not is_cyclically_reduced(w, cap)
+            assert not is_cyclically_reduced(warm, cap)
+            assert w.word not in w.system._scratch["elementary_targets"]
+        assert warm.word not in warm.system._scratch["elementary_targets"]
 
 
 class TestCyclicReduce:
@@ -544,6 +542,44 @@ class TestMinimality:
                 assert truly_minimal
             elif verdict is TriState.NO:
                 assert not truly_minimal
+
+
+CAPPED = (is_cyclically_reduced, kappa_closure, cyclic_reduce, elementary_related,
+          is_finite_order, has_cent_prime, is_min_in_conjugacy_class, is_straight,
+          is_fc, is_cfc)
+
+
+@pytest.mark.parametrize("check", CAPPED, ids=lambda check: check.__name__)
+def test_cap_contract(check):
+    # a call refuses iff its own search on a fresh system exceeds the cap, so
+    # a warm system (every entry point run at the default cap on every
+    # element) answers as a fresh one, a call that answers at some cap
+    # answers at every larger one, and every answer is the default-cap one
+    def outcome(w, cap):
+        try:
+            return "answer", check(w, cap)
+        except CapExceeded as exc:
+            return "refusal", str(exc)
+        except ValueError as exc:
+            return "answer", f"ValueError: {exc}"
+
+    for matrix, max_len in ((helpers.A3, 6), (helpers.A2T, 4)):
+        words = [e.word for e in enumerate_elements(matrix, max_len)]
+        warm = CoxeterMatrix(matrix.names, matrix.table)
+        for word in words:
+            for entry in CAPPED:
+                with contextlib.suppress(ValueError):
+                    entry(warm.element(word))
+        for word in words:
+            default = outcome(warm.element(word), DEFAULT_CAP)
+            seen = []
+            for cap in range(1, 18):
+                fresh = outcome(CoxeterMatrix(matrix.names, matrix.table).element(word), cap)
+                assert outcome(warm.element(word), cap) == fresh, (word, cap)
+                seen.append(fresh)
+            answered = [o for o in seen if o[0] == "answer"]
+            assert seen[len(seen) - len(answered):] == answered, word
+            assert all(o == default for o in answered), word
 
 
 FUZZ_SYSTEMS = (helpers.A2T, helpers.B2T, helpers.G2T, helpers.T237, helpers.U3)
