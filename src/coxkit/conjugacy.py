@@ -38,7 +38,6 @@ from .core import (
     conjugate,
     reduce_word_with_path,
     support,
-    _conjugate_word,
     _exchange,
     _root_table,
     _search,
@@ -133,7 +132,14 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
     system.  ``stack[k]`` is the rotation of rho by k, x^-1 u x with
     x = rho[:k]: the shift of ``stack[k-1]`` by rho[k-1], read from the shift
     memo (``core._shift`` on a miss).  It is kept up to the common prefix of
-    rho with the previous reduced word, so shared rotations are not redone."""
+    rho with the previous reduced word, so shared rotations are not redone.
+
+    The first word through a new prefix x = rho[:k] ends in rho[k:], the
+    normal form of x^-1 u.  If an earlier prefix ended in the same remainder,
+    it spells the same x, so every rotation of a word through rho[:k] by k
+    letters or more was already found with a smaller witness (the earlier
+    prefix followed by the same remainder): those words are skipped from
+    there."""
     cache = matrix._scratch["elementary_targets"]
     hit = cache.get(word)
     if hit is None or hit[1] > cap:
@@ -141,12 +147,20 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
         words = sorted(braid_class(matrix, word, cap))
         found = {}
         stack = [word]
+        walked, skip = set(), None
         for prev, rho in zip([b""] + words, words):
+            if skip is not None and rho.startswith(skip):
+                continue
             common = 0
             while common < len(prev) and prev[common] == rho[common]:
                 common += 1
             del stack[common + 1:]
             for k in range(common, len(rho)):
+                rest = rho[k + 1:]
+                if rest in walked:
+                    skip = rho[:k + 1]
+                    break
+                walked.add(rest)
                 v, s = stack[k], rho[k]
                 stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
                 found.setdefault(stack[-1], (rho, k + 1))
@@ -223,14 +237,27 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
 
 def _hop_certificate(prev: Element, rho: Word, k: int, target: Element,
                      cap: int) -> MoveCertificate:
-    """Certificate of one elementary move: braid into rho, rotate, reduce."""
-    steps = list(braid_word_path(prev.system, prev.word, rho, cap))
+    """Certificate of one elementary move: braid into rho, rotate, reduce.
+
+    A rotation that keeps the length is a reduced word of the target, so it
+    is braided straight to the target's word: the search is the one that
+    reduction would run from the same word, stopped at the target, and
+    takes the same moves."""
+    matrix = prev.system
+    steps = list(braid_word_path(matrix, prev.word, rho, cap))
     steps.append(RotateStep(k, rho))
     rotated = rho[k:] + rho[:k]
-    landed, reduction = reduce_word_with_path(prev.system, rotated, cap)
-    if landed != target:
-        raise InvariantViolation("elementary move replays to an unexpected element")
-    steps.extend(reduction)
+    if target.length == len(rotated):
+        try:
+            steps.extend(braid_word_path(matrix, rotated, target.word, cap))
+        except ValueError:
+            raise InvariantViolation(
+                "elementary move replays to an unexpected element") from None
+    else:
+        landed, reduction = reduce_word_with_path(matrix, rotated, cap)
+        if landed != target:
+            raise InvariantViolation("elementary move replays to an unexpected element")
+        steps.extend(reduction)
     return MoveCertificate(prev.word, tuple(steps), target.word)
 
 
@@ -270,6 +297,12 @@ def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
     return all(len(t) == len(word) for t in _elementary_targets(matrix, word, cap)[0])
 
 
+def _reduced_node(closure: KappaClosure) -> Element:
+    """The element :func:`cyclic_reduce` returns: the start when the closure
+    preserves length, the least node of the minimal stratum otherwise."""
+    return closure.start if closure.length_preserved else closure.min_stratum[0]
+
+
 def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
     """A minimal-length element of the move closure of w, with a certificate.
 
@@ -278,9 +311,7 @@ def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
     already minimal and is returned with an empty certificate.
     """
     closure = kappa_closure(w, cap)
-    if closure.length_preserved:
-        return w, MoveCertificate(w.word, (), w.word)
-    target = closure.min_stratum[0]
+    target = _reduced_node(closure)
     return target, _path_certificate(w, closure.parents, target, cap)
 
 
@@ -323,6 +354,22 @@ def _spherical_reflections(matrix: CoxeterMatrix, cap: int) -> tuple:
     return hit
 
 
+def _conjugate_within(matrix: CoxeterMatrix, v_word: Word, x_word: Word,
+                      top: int) -> Optional[Word]:
+    """The canonical word of v x v^-1, built as ``core._conjugate_word``
+    builds it, or None as soon as it cannot end at most ``top`` letters
+    long: one shift changes the length by at most 2, so while j letters of
+    v remain to apply, a conjugate longer than top + 2j never gets there."""
+    shifts = matrix._scratch["shift"]
+    limit = top + 2 * len(v_word)
+    for s in reversed(v_word):
+        if len(x_word) > limit:
+            return None
+        x_word = shifts.get((x_word, s)) or _shift(matrix, x_word, s)
+        limit -= 2
+    return x_word
+
+
 def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     """Along the whole closure of a cyclically reduced u, normalising a
     candidate, a subgroup w_I W_J w_I^-1 with I spherical, J a nonempty
@@ -349,24 +396,46 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
 
     An orbit that stays spherical lies in R0, so beyond the closure and the
     check that u is cyclically reduced, a call refuses (CapExceeded) only
-    when R0 has more than ``cap`` reflections.
+    when R0 has more than ``cap`` reflections.  Each image is built one
+    shift at a time and dropped, as outside R0, as soon as it is too long
+    to end in R0.
+
+    Cent' is a property of the whole closure, and a length-preserving
+    closure is the closure of each of its nodes, so its verdict is memoised
+    under every node.  The memo is read only once the cyclic-reducedness
+    test, R0 and the closure have been found at ``cap``, so a hit refuses
+    exactly as a fresh call would.  A shortening closure is not memoised:
+    its nodes' own closures are smaller.
     """
     if not is_cyclically_reduced(u, cap):
         raise ValueError("has_cent_prime requires a cyclically reduced element")
     matrix = u.system
     reflections = _spherical_reflections(matrix, cap)
+    closure = kappa_closure(u, cap)
+    cache = matrix._scratch["cent_prime"]
+    hit = cache.get(u.word)
+    if hit is not None:
+        return hit
     spherical = frozenset(reflections)
-    for w in kappa_closure(u, cap).nodes:
+    top = max(map(len, reflections))
+
+    def moves_a_spherical_orbit(word):
         for g in reflections:
-            union, r = frozenset(g), _conjugate_word(matrix, w.word, g)
+            union, r = frozenset(g), _conjugate_within(matrix, word, g, top)
             while r != g and r in spherical:  # else the union is not spherical
                 union = union.union(r)
                 if not parabolic._is_spherical(matrix, union):
                     break
-                r = _conjugate_word(matrix, w.word, r)
+                r = _conjugate_within(matrix, word, r, top)
                 if r == g:
-                    return False
-    return True
+                    return True
+        return False
+
+    verdict = not any(moves_a_spherical_orbit(w.word) for w in closure.nodes)
+    if closure.length_preserved:
+        for w in closure.nodes:
+            cache[w.word] = verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +484,20 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
         raise ValueError("elements live in different Coxeter systems")
     matrix = u1.system
 
-    v1, cert1 = cyclic_reduce(u1, cap)
-    v2, cert2 = cyclic_reduce(u2, cap)
+    # certificates are built only for a CONJUGATE verdict, the one that
+    # carries them
+    start1, start2 = kappa_closure(u1, cap), kappa_closure(u2, cap)
+    v1, v2 = _reduced_node(start1), _reduced_node(start2)
     closure1 = kappa_closure(v1, cap)
     closure2 = kappa_closure(v2, cap)
     stratum2 = set(closure2.min_stratum)
     common = [x for x in closure1.min_stratum if x in stratum2]
     if common:
         meeting = common[0]
-        full1 = cert1.then(_path_certificate(v1, closure1.parents, meeting, cap))
-        full2 = cert2.then(_path_certificate(v2, closure2.parents, meeting, cap))
+        full1 = _path_certificate(u1, start1.parents, v1, cap).then(
+            _path_certificate(v1, closure1.parents, meeting, cap))
+        full2 = _path_certificate(u2, start2.parents, v2, cap).then(
+            _path_certificate(v2, closure2.parents, meeting, cap))
         return ConjugacyVerdict(
             ConjugacyStatus.CONJUGATE,
             certificates=(full1, full2),

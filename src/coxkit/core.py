@@ -628,9 +628,10 @@ def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
 def _conjugate_word(matrix: CoxeterMatrix, v_word: Word, x_word: Word) -> Word:
     """The canonical word of v x v^-1 for the canonical words of v and x:
     a_1(...(a_l x a_l)...)a_1 for v = a_1...a_l, one shift per letter from
-    the right."""
+    the right, read from the shift memo (:func:`_shift` on a miss)."""
+    shifts = matrix._scratch["shift"]
     for s in reversed(v_word):
-        x_word = _shift(matrix, x_word, s)
+        x_word = shifts.get((x_word, s)) or _shift(matrix, x_word, s)
     return x_word
 
 

@@ -15,6 +15,8 @@ tests, the descent closures grown by fixpoint over two-product conjugates,
 and their search conjugating afresh for every closure it grows; the
 power-length profile that multiplies out every power in normal form;
 cyclic reducedness that reduces every rotation of every reduced word; the
+rotation-target walk that walks every rotation of every reduced word, and
+the elementary-move certificate that reduces every rotation; the
 spherical subsets found by testing all 2^rank subsets; and element
 enumeration that multiplies every element by every generator.
 """
@@ -30,7 +32,10 @@ from coxkit import (
     CancelStep,
     CoxeterMatrix,
     Element,
+    MoveCertificate,
+    RotateStep,
     braid_class,
+    braid_word_path,
     canonical_word,
     centralises,
     conjugate,
@@ -42,10 +47,12 @@ from coxkit import (
     left_descents,
     multiply,
     reduce_word,
+    reduce_word_with_path,
     rotations,
     spherical_subsets,
     support,
 )
+from coxkit.core import _shift
 from coxkit.errors import CapExceeded
 
 INF = math.inf
@@ -293,6 +300,40 @@ def reference_closure_search(u, cap=DEFAULT_CAP):
             parents[target] = (cur, rho, k)
             queue.append(target)
     return nodes, parents
+
+
+def reference_elementary_targets(matrix, word, cap=DEFAULT_CAP):
+    """``(targets, words)`` as the rotation-target walk found them before it
+    skipped remainders already walked: every rotation of every reduced word,
+    one memoised shift per letter, resumed at the common prefix with the
+    previous word."""
+    shifts = matrix._scratch["shift"]
+    words = sorted(braid_class(matrix, word, cap))
+    found = {}
+    stack = [word]
+    for prev, rho in zip([b""] + words, words):
+        common = 0
+        while common < len(prev) and prev[common] == rho[common]:
+            common += 1
+        del stack[common + 1:]
+        for k in range(common, len(rho)):
+            v, s = stack[k], rho[k]
+            stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
+            found.setdefault(stack[-1], (rho, k + 1))
+    return found, len(words)
+
+
+def reference_hop_certificate(prev, rho, k, target, cap=DEFAULT_CAP):
+    """The certificate of one elementary move as the engine built it before
+    a rotation that keeps the length was braided straight to the target:
+    braid into rho, rotate, then reduce the rotation, which searches its
+    whole braid class for an equal adjacent pair."""
+    steps = list(braid_word_path(prev.system, prev.word, rho, cap))
+    steps.append(RotateStep(k, rho))
+    landed, reduction = reduce_word_with_path(prev.system, rho[k:] + rho[:k], cap)
+    assert landed == target
+    steps.extend(reduction)
+    return MoveCertificate(prev.word, tuple(steps), target.word)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -602,3 +603,30 @@ def test_conjugates_are_never_refuted(matrix, u_letters, v_letters):
         for cert, start in zip(verdict.certificates, (u, w)):
             assert cert.start == start.word
             assert cert.replay(matrix) == verdict.meeting.word
+
+
+def test_are_conjugate_keeps_the_cap_contract():
+    # as test_cap_contract, for pairs: a warm system (every pair decided at
+    # the default cap) answers or refuses as a fresh one, an answer persists
+    # at every larger cap, and every answer is the default-cap one
+    def outcome(matrix, pair, cap):
+        u1, u2 = (matrix.element(word) for word in pair)
+        try:
+            return "answer", repr(are_conjugate(u1, u2, cap=cap))
+        except CapExceeded as exc:
+            return "refusal", str(exc)
+
+    for matrix, max_len in ((helpers.A3, 3), (helpers.A2T, 3)):
+        words = [e.word for e in enumerate_elements(matrix, max_len)]
+        pairs = list(itertools.product(words, repeat=2))
+        warm = CoxeterMatrix(matrix.names, matrix.table)
+        defaults = {pair: outcome(warm, pair, DEFAULT_CAP) for pair in pairs}
+        for pair in pairs:
+            seen = []
+            for cap in range(1, 18):
+                fresh = outcome(CoxeterMatrix(matrix.names, matrix.table), pair, cap)
+                assert outcome(warm, pair, cap) == fresh, (pair, cap)
+                seen.append(fresh)
+            answered = [o for o in seen if o[0] == "answer"]
+            assert seen[len(seen) - len(answered):] == answered, pair
+            assert all(o == defaults[pair] for o in answered), pair

@@ -21,6 +21,13 @@ word, rotation) on every element of the sweep (949 of them); R0 against the
 generators of every reference candidate; and Cent' verdicts on every
 cyclically reduced element of the sweep and of D_inf x A2 and D_inf x B2 up
 to 5 letters, where Cent' also fails on elements of infinite order.
+
+``has_cent_prime`` also memoises its verdict per length-preserving closure
+and drops an image as soon as it is too long to end in R0; a certificate hop
+whose rotation keeps the length braids straight to the target; and the
+rotation-target walk passes over the words through a prefix whose remainder
+was already walked.  Those must match fresh systems and the reference
+engines too.
 """
 
 import itertools
@@ -30,6 +37,7 @@ import pytest
 import helpers
 from coxkit import (
     DEFAULT_CAP,
+    CoxeterMatrix,
     braid_class,
     conjugate,
     enumerate_elements,
@@ -41,7 +49,13 @@ from coxkit import (
     support,
     torsion_witness,
 )
-from coxkit.conjugacy import _elementary_targets, _spherical_reflections
+from coxkit import conjugacy
+from coxkit.conjugacy import (
+    _conjugate_within,
+    _elementary_targets,
+    _hop_certificate,
+    _spherical_reflections,
+)
 from coxkit.core import _conjugate_word
 
 # system, longest element length swept
@@ -148,6 +162,22 @@ def test_conjugate_and_normalises_match_reference(matrix):
             assert normalises(v, members) == expected, (v, members)
 
 
+@pytest.mark.parametrize("matrix", CONJUGATION_SYSTEMS.values(), ids=CONJUGATION_SYSTEMS.keys())
+def test_bounded_conjugation_drops_only_what_cannot_fit(matrix):
+    # with a bound, a conjugate that fits is always built, and one that does
+    # not is built or dropped (None); in A3, s1 s2 conjugates s1 to s2
+    # through s2 s1 s2, so a bound of one letter must keep it
+    elements = enumerate_elements(matrix, 3)
+    for v in elements:
+        for x in elements:
+            full = _conjugate_word(matrix, v.word, x.word)
+            for top in range(len(full) + 3):
+                bounded = _conjugate_within(matrix, v.word, x.word, top)
+                assert bounded == full or (bounded is None and len(full) > top), (v, x, top)
+    a3 = helpers.A3
+    assert _conjugate_within(a3, a3.word("s1 s2"), a3.word("s1"), 1) == a3.word("s2")
+
+
 # system, longest element length swept by the torsion scan
 TORSION_SYSTEMS = {
     **{key: (matrix, 8) for key, matrix in CONJUGATION_SYSTEMS.items()},
@@ -170,3 +200,118 @@ def test_cross_system_conjugation_rejected():
         for v in (matrix.identity(), matrix.generator(0)):
             with pytest.raises(ValueError, match="different Coxeter systems"):
                 conjugate(v, other.generator(1))
+
+
+# ---------------------------------------------------------------------------
+# the Cent' memo, the bounded conjugation, the hop certificates and the
+# rotation-target walk that skips remainders already walked
+
+
+def test_shortening_closure_leaves_no_cent_prime_entry():
+    # cyclically reduced, but its closure reaches a length-2 conjugate: a
+    # verdict found there says nothing about the nodes' own, smaller closures
+    matrix = CoxeterMatrix(helpers.B3.names, helpers.B3.table)
+    w = matrix.element("s2 s1 s2 s3")
+    assert is_cyclically_reduced(w) and not kappa_closure(w).length_preserved
+    assert has_cent_prime(w) == helpers.reference_has_cent_prime(w)
+    assert not matrix._scratch.get("cent_prime")
+
+
+# system, longest element length for the warm Cent' sweep
+CENT_PRIME_MEMO_SYSTEMS = {
+    "B3": (helpers.B3, 5),
+    "DinfxA2": (helpers.DINF_A2, 5),
+    "A3~": (helpers.A3T, 5),
+}
+
+
+@pytest.mark.parametrize("matrix, max_len", CENT_PRIME_MEMO_SYSTEMS.values(),
+                         ids=CENT_PRIME_MEMO_SYSTEMS.keys())
+def test_cent_prime_memo_matches_fresh_and_reference(matrix, max_len):
+    # every cyclically reduced element, asked twice in two orders on one warm
+    # system, against a fresh system and the per-candidate reference scan
+    words = [u.word for u in enumerate_elements(matrix, max_len)
+             if is_cyclically_reduced(u)]
+    warm = CoxeterMatrix(matrix.names, matrix.table)
+    for word in words + words[::-1]:
+        verdict = has_cent_prime(warm.element(word))
+        fresh = CoxeterMatrix(matrix.names, matrix.table).element(word)
+        assert verdict == has_cent_prime(fresh), matrix.word_str(word)
+        assert verdict == helpers.reference_has_cent_prime(fresh), matrix.word_str(word)
+    memo = warm._scratch["cent_prime"]
+    assert memo and False in memo.values()
+    for word in memo:
+        assert kappa_closure(warm.element(word)).length_preserved
+
+
+@pytest.mark.parametrize("matrix", [helpers.A2T, helpers.B2T, helpers.G2T, helpers.B3],
+                         ids=["A2~", "B2~", "G2~", "B3"])
+def test_hop_certificates_match_reference(matrix):
+    # every parent edge of every closure of elements of at most 6 letters:
+    # a hop that keeps the length braids straight to the target and takes
+    # the moves that reducing the rotation took
+    kept = shortened = 0
+    for u in enumerate_elements(matrix, 6):
+        for target, (prev, rho, k) in kappa_closure(u).parents.items():
+            cert = _hop_certificate(prev, rho, k, target, DEFAULT_CAP)
+            assert cert == helpers.reference_hop_certificate(prev, rho, k, target), (u, target)
+            kept += target.length == prev.length
+            shortened += target.length < prev.length
+    assert kept and shortened
+
+
+class _CountingReads(dict):
+    """A shift memo that counts its reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+A4 = CoxeterMatrix.from_pairs("abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3})
+B4 = CoxeterMatrix.from_pairs("abcd", {("a", "b"): 4, ("b", "c"): 3, ("c", "d"): 3})
+
+
+@pytest.mark.parametrize("matrix", [A4, B4, helpers.H3], ids=["A4", "B4", "H3"])
+def test_skip_walk_matches_the_unskipped_walk(matrix):
+    # the longest element: 768, 24,024 and 286 reduced words; the skip must
+    # keep every target, its first witness, their order and the word count
+    w0 = enumerate_elements(matrix, None)[-1].word
+    ours = CoxeterMatrix(matrix.names, matrix.table)
+    theirs = CoxeterMatrix(matrix.names, matrix.table)
+    ours._scratch["shift"] = _CountingReads()
+    theirs._scratch["shift"] = _CountingReads()
+    targets, words = _elementary_targets(ours, w0)
+    expected, expected_words = helpers.reference_elementary_targets(theirs, w0)
+    assert list(targets.items()) == list(expected.items())
+    assert words == expected_words == len(braid_class(matrix, w0))
+    assert ours._scratch["shift"].reads < theirs._scratch["shift"].reads
+
+
+class _CountingWord(bytes):
+    """A reduced word that records, in ``read``, whether it was indexed or
+    sliced."""
+
+    read = set()
+
+    def __getitem__(self, key):
+        _CountingWord.read.add(bytes(self))
+        return super().__getitem__(key)
+
+
+def test_skip_walk_passes_over_the_words_through_a_walked_remainder(monkeypatch):
+    # the longest element of B4 is central, so every prefix of the first
+    # reduced word is followed by a remainder that its later prefixes repeat:
+    # the words through such a prefix are passed over by one prefix test and
+    # not read at all
+    real = braid_class
+    monkeypatch.setattr(conjugacy, "braid_class", lambda *args: frozenset(
+        map(_CountingWord, real(*args))))
+    monkeypatch.setattr(_CountingWord, "read", set())
+    w0 = enumerate_elements(B4, None)[-1].word
+    matrix = CoxeterMatrix(B4.names, B4.table)
+    targets, words = _elementary_targets(matrix, w0)
+    assert list(targets) == [w0] and words == 24_024
+    assert 0 < len(_CountingWord.read) < words // 10
