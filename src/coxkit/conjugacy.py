@@ -132,14 +132,7 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
     system.  ``stack[k]`` is the rotation of rho by k, x^-1 u x with
     x = rho[:k]: the shift of ``stack[k-1]`` by rho[k-1], read from the shift
     memo (``core._shift`` on a miss).  It is kept up to the common prefix of
-    rho with the previous reduced word, so shared rotations are not redone.
-
-    The first word through a new prefix x = rho[:k] ends in rho[k:], the
-    normal form of x^-1 u.  If an earlier prefix ended in the same remainder,
-    it spells the same x, so every rotation of a word through rho[:k] by k
-    letters or more was already found with a smaller witness (the earlier
-    prefix followed by the same remainder): those words are skipped from
-    there."""
+    rho with the previous reduced word, so shared rotations are not redone."""
     cache = matrix._scratch["elementary_targets"]
     hit = cache.get(word)
     if hit is None or hit[1] > cap:
@@ -147,20 +140,12 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
         words = sorted(braid_class(matrix, word, cap))
         found = {}
         stack = [word]
-        walked, skip = set(), None
         for prev, rho in zip([b""] + words, words):
-            if skip is not None and rho.startswith(skip):
-                continue
             common = 0
             while common < len(prev) and prev[common] == rho[common]:
                 common += 1
             del stack[common + 1:]
             for k in range(common, len(rho)):
-                rest = rho[k + 1:]
-                if rest in walked:
-                    skip = rho[:k + 1]
-                    break
-                walked.add(rest)
                 v, s = stack[k], rho[k]
                 stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
                 found.setdefault(stack[-1], (rho, k + 1))

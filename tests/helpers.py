@@ -15,8 +15,7 @@ tests, the descent closures grown by fixpoint over two-product conjugates,
 and their search conjugating afresh for every closure it grows; the
 power-length profile that multiplies out every power in normal form;
 cyclic reducedness that reduces every rotation of every reduced word; the
-rotation-target walk that walks every rotation of every reduced word, and
-the elementary-move certificate that reduces every rotation; the
+elementary-move certificate that reduces every rotation; the
 spherical subsets found by testing all 2^rank subsets; and element
 enumeration that multiplies every element by every generator.
 """
@@ -52,7 +51,6 @@ from coxkit import (
     spherical_subsets,
     support,
 )
-from coxkit.core import _shift
 from coxkit.errors import CapExceeded
 
 INF = math.inf
@@ -300,27 +298,6 @@ def reference_closure_search(u, cap=DEFAULT_CAP):
             parents[target] = (cur, rho, k)
             queue.append(target)
     return nodes, parents
-
-
-def reference_elementary_targets(matrix, word, cap=DEFAULT_CAP):
-    """``(targets, words)`` as the rotation-target walk found them before it
-    skipped remainders already walked: every rotation of every reduced word,
-    one memoised shift per letter, resumed at the common prefix with the
-    previous word."""
-    shifts = matrix._scratch["shift"]
-    words = sorted(braid_class(matrix, word, cap))
-    found = {}
-    stack = [word]
-    for prev, rho in zip([b""] + words, words):
-        common = 0
-        while common < len(prev) and prev[common] == rho[common]:
-            common += 1
-        del stack[common + 1:]
-        for k in range(common, len(rho)):
-            v, s = stack[k], rho[k]
-            stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
-            found.setdefault(stack[-1], (rho, k + 1))
-    return found, len(words)
 
 
 def reference_hop_certificate(prev, rho, k, target, cap=DEFAULT_CAP):

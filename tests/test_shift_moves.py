@@ -23,11 +23,9 @@ cyclically reduced element of the sweep and of D_inf x A2 and D_inf x B2 up
 to 5 letters, where Cent' also fails on elements of infinite order.
 
 ``has_cent_prime`` also memoises its verdict per length-preserving closure
-and drops an image as soon as it is too long to end in R0; a certificate hop
-whose rotation keeps the length braids straight to the target; and the
-rotation-target walk passes over the words through a prefix whose remainder
-was already walked.  Those must match fresh systems and the reference
-engines too.
+and drops an image as soon as it is too long to end in R0, and a certificate
+hop whose rotation keeps the length braids straight to the target.  Those
+must match fresh systems and the reference engines too.
 """
 
 import itertools
@@ -49,7 +47,6 @@ from coxkit import (
     support,
     torsion_witness,
 )
-from coxkit import conjugacy
 from coxkit.conjugacy import (
     _conjugate_within,
     _elementary_targets,
@@ -203,8 +200,7 @@ def test_cross_system_conjugation_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the Cent' memo, the bounded conjugation, the hop certificates and the
-# rotation-target walk that skips remainders already walked
+# the Cent' memo, the bounded conjugation and the hop certificates
 
 
 def test_shortening_closure_leaves_no_cent_prime_entry():
@@ -258,60 +254,3 @@ def test_hop_certificates_match_reference(matrix):
             kept += target.length == prev.length
             shortened += target.length < prev.length
     assert kept and shortened
-
-
-class _CountingReads(dict):
-    """A shift memo that counts its reads."""
-
-    reads = 0
-
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
-
-
-A4 = CoxeterMatrix.from_pairs("abcd", {("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3})
-B4 = CoxeterMatrix.from_pairs("abcd", {("a", "b"): 4, ("b", "c"): 3, ("c", "d"): 3})
-
-
-@pytest.mark.parametrize("matrix", [A4, B4, helpers.H3], ids=["A4", "B4", "H3"])
-def test_skip_walk_matches_the_unskipped_walk(matrix):
-    # the longest element: 768, 24,024 and 286 reduced words; the skip must
-    # keep every target, its first witness, their order and the word count
-    w0 = enumerate_elements(matrix, None)[-1].word
-    ours = CoxeterMatrix(matrix.names, matrix.table)
-    theirs = CoxeterMatrix(matrix.names, matrix.table)
-    ours._scratch["shift"] = _CountingReads()
-    theirs._scratch["shift"] = _CountingReads()
-    targets, words = _elementary_targets(ours, w0)
-    expected, expected_words = helpers.reference_elementary_targets(theirs, w0)
-    assert list(targets.items()) == list(expected.items())
-    assert words == expected_words == len(braid_class(matrix, w0))
-    assert ours._scratch["shift"].reads < theirs._scratch["shift"].reads
-
-
-class _CountingWord(bytes):
-    """A reduced word that records, in ``read``, whether it was indexed or
-    sliced."""
-
-    read = set()
-
-    def __getitem__(self, key):
-        _CountingWord.read.add(bytes(self))
-        return super().__getitem__(key)
-
-
-def test_skip_walk_passes_over_the_words_through_a_walked_remainder(monkeypatch):
-    # the longest element of B4 is central, so every prefix of the first
-    # reduced word is followed by a remainder that its later prefixes repeat:
-    # the words through such a prefix are passed over by one prefix test and
-    # not read at all
-    real = braid_class
-    monkeypatch.setattr(conjugacy, "braid_class", lambda *args: frozenset(
-        map(_CountingWord, real(*args))))
-    monkeypatch.setattr(_CountingWord, "read", set())
-    w0 = enumerate_elements(B4, None)[-1].word
-    matrix = CoxeterMatrix(B4.names, B4.table)
-    targets, words = _elementary_targets(matrix, w0)
-    assert list(targets) == [w0] and words == 24_024
-    assert 0 < len(_CountingWord.read) < words // 10
