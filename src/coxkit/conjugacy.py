@@ -129,26 +129,20 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
     then rotation amount), mapped to its first witness (rho, k), and the
     number of reduced words walked.  Memoised per system; a hit over ``cap``
     words is walked again, so :func:`braid_class` refuses as on a fresh
-    system.  ``stack[k]`` is the rotation of rho by k, x^-1 u x with
-    x = rho[:k]: the shift of ``stack[k-1]`` by rho[k-1], read from the shift
-    memo (``core._shift`` on a miss).  It is kept up to the common prefix of
-    rho with the previous reduced word, so shared rotations are not redone."""
+    system.  The rotation of rho by k is x^-1 u x with x = rho[:k]: the
+    shift of its rotation by k - 1 by rho[k-1], read from the shift memo
+    (``core._shift`` on a miss)."""
     cache = matrix._scratch["elementary_targets"]
     hit = cache.get(word)
     if hit is None or hit[1] > cap:
         shifts = matrix._scratch["shift"]
         words = sorted(braid_class(matrix, word, cap))
         found = {}
-        stack = [word]
-        for prev, rho in zip([b""] + words, words):
-            common = 0
-            while common < len(prev) and prev[common] == rho[common]:
-                common += 1
-            del stack[common + 1:]
-            for k in range(common, len(rho)):
-                v, s = stack[k], rho[k]
-                stack.append(shifts.get((v, s)) or _shift(matrix, v, s))
-                found.setdefault(stack[-1], (rho, k + 1))
+        for rho in words:
+            v = word
+            for k, s in enumerate(rho, 1):
+                v = shifts.get((v, s)) or _shift(matrix, v, s)
+                found.setdefault(v, (rho, k))
         hit = cache[word] = (found, len(words))
     return hit
 
@@ -222,27 +216,14 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
 
 def _hop_certificate(prev: Element, rho: Word, k: int, target: Element,
                      cap: int) -> MoveCertificate:
-    """Certificate of one elementary move: braid into rho, rotate, reduce.
-
-    A rotation that keeps the length is a reduced word of the target, so it
-    is braided straight to the target's word: the search is the one that
-    reduction would run from the same word, stopped at the target, and
-    takes the same moves."""
+    """Certificate of one elementary move: braid into rho, rotate, reduce."""
     matrix = prev.system
     steps = list(braid_word_path(matrix, prev.word, rho, cap))
     steps.append(RotateStep(k, rho))
-    rotated = rho[k:] + rho[:k]
-    if target.length == len(rotated):
-        try:
-            steps.extend(braid_word_path(matrix, rotated, target.word, cap))
-        except ValueError:
-            raise InvariantViolation(
-                "elementary move replays to an unexpected element") from None
-    else:
-        landed, reduction = reduce_word_with_path(matrix, rotated, cap)
-        if landed != target:
-            raise InvariantViolation("elementary move replays to an unexpected element")
-        steps.extend(reduction)
+    landed, reduction = reduce_word_with_path(matrix, rho[k:] + rho[:k], cap)
+    if landed != target:
+        raise InvariantViolation("elementary move replays to an unexpected element")
+    steps.extend(reduction)
     return MoveCertificate(prev.word, tuple(steps), target.word)
 
 
@@ -475,10 +456,10 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
     v1, v2 = _reduced_node(start1), _reduced_node(start2)
     closure1 = kappa_closure(v1, cap)
     closure2 = kappa_closure(v2, cap)
-    stratum2 = set(closure2.min_stratum)
-    common = [x for x in closure1.min_stratum if x in stratum2]
-    if common:
-        meeting = common[0]
+    # both closures preserve length, and a rotation that keeps the length is
+    # undone by rotating back, so each is a class: they meet iff they are equal
+    meeting = closure1.nodes[0]
+    if meeting == closure2.nodes[0]:
         full1 = _path_certificate(u1, start1.parents, v1, cap).then(
             _path_certificate(v1, closure1.parents, meeting, cap))
         full2 = _path_certificate(u2, start2.parents, v2, cap).then(

@@ -491,19 +491,22 @@ def _walk_parents(parents, target) -> list:
 def reduce_word_with_path(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP):
     """Like :func:`reduce_word`, also returning the replayable move path.
 
-    Braid moves reach a word with an equal adjacent pair, which is cancelled,
-    until the braid orbit has none; then braid moves reach the canonical word.
+    The canonical word comes first, with no search.  Only a reduced word is
+    as long, so while the word is longer, braid moves reach a word with an
+    equal adjacent pair, which is cancelled; then braid moves reach the
+    canonical word, and each search stops at the first word it looks for.
     """
     cur = matrix.word(word)
+    canon = canonical_word(matrix, cur)
     steps = []
     while True:
         parents = {}
-        _, sigma = _braid_orbit(matrix, cur, cap, stop=_has_repeat, parents=parents)
-        if sigma is None:
-            canon = canonical_word(matrix, cur)
-            steps.extend(_walk_parents(parents, canon))
-            return Element(matrix, canon), steps
+        reduced = len(cur) == len(canon)
+        _, sigma = _braid_orbit(matrix, cur, cap, stop=canon.__eq__ if reduced else _has_repeat,
+                                parents=parents)
         steps.extend(_walk_parents(parents, sigma))
+        if reduced:
+            return Element(matrix, canon), steps
         p = next(i for i in range(len(sigma) - 1) if sigma[i] == sigma[i + 1])
         steps.append(CancelStep(p))
         cur = sigma[:p] + sigma[p + 2 :]

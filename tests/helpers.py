@@ -34,7 +34,6 @@ from coxkit import (
     MoveCertificate,
     RotateStep,
     braid_class,
-    braid_word_path,
     canonical_word,
     centralises,
     conjugate,
@@ -46,7 +45,6 @@ from coxkit import (
     left_descents,
     multiply,
     reduce_word,
-    reduce_word_with_path,
     rotations,
     spherical_subsets,
     support,
@@ -205,21 +203,19 @@ def _walk_parents(parents, target):
 
 
 def reference_reduce_word_with_path(matrix, word, cap=DEFAULT_CAP):
-    """``(element, steps)``: braid into a repeat and cancel it, until none is
-    left, then braid into the canonical word."""
+    """``(element, steps)``: braid into a repeat and cancel it, until the
+    word is reduced, then braid into the canonical word."""
     cur = matrix.word(word)
     steps = []
-    while True:
+    while not naive_is_reduced(matrix, cur):
         parents = {}
-        _, repeat = reference_orbit_scan(matrix, cur, cap, parents)
-        if repeat is None:
-            canon = canonical_word(matrix, cur)
-            steps.extend(_walk_parents(parents, canon))
-            return Element(matrix, canon), steps
-        sigma, p = repeat
+        _, (sigma, p) = reference_orbit_scan(matrix, cur, cap, parents)
         steps.extend(_walk_parents(parents, sigma))
         steps.append(CancelStep(p))
         cur = sigma[:p] + sigma[p + 2 :]
+    canon = canonical_word(matrix, cur)
+    steps.extend(reference_braid_word_path(matrix, cur, canon, cap))
+    return Element(matrix, canon), steps
 
 
 def reference_braid_word_path(matrix, source, target, cap=DEFAULT_CAP):
@@ -301,13 +297,11 @@ def reference_closure_search(u, cap=DEFAULT_CAP):
 
 
 def reference_hop_certificate(prev, rho, k, target, cap=DEFAULT_CAP):
-    """The certificate of one elementary move as the engine built it before
-    a rotation that keeps the length was braided straight to the target:
-    braid into rho, rotate, then reduce the rotation, which searches its
-    whole braid class for an equal adjacent pair."""
-    steps = list(braid_word_path(prev.system, prev.word, rho, cap))
+    """The certificate of one elementary move by the reference path engines:
+    braid into rho, rotate, then reduce the rotation."""
+    steps = reference_braid_word_path(prev.system, prev.word, rho, cap)
     steps.append(RotateStep(k, rho))
-    landed, reduction = reduce_word_with_path(prev.system, rho[k:] + rho[:k], cap)
+    landed, reduction = reference_reduce_word_with_path(prev.system, rho[k:] + rho[:k], cap)
     assert landed == target
     steps.extend(reduction)
     return MoveCertificate(prev.word, tuple(steps), target.word)

@@ -3,7 +3,8 @@
 Braid classes, commutation classes, reduction paths and braid-move paths all
 come from one breadth-first search.  Certificates print these paths, so they
 must match the reference engines in ``helpers`` move for move, and the node
-cap must refuse at exactly the same count.
+cap must refuse at exactly the same count.  A reduction finds the normal form
+first, so once its word is reduced it braids only as far as the normal form.
 """
 
 import pytest
@@ -12,9 +13,11 @@ import helpers
 from coxkit import (
     BraidStep,
     CoxeterMatrix,
+    Element,
     apply_step,
     braid_class,
     braid_word_path,
+    canonical_word,
     commutation_class,
     reduce_word_with_path,
 )
@@ -58,30 +61,49 @@ def _refuses(search, cap):
     return False
 
 
+def _fresh_a3():
+    # a new system, so no memo answers before the search runs
+    return CoxeterMatrix(helpers.A3.names, helpers.A3.table)
+
+
 def test_cap_refuses_at_the_reference_count():
     # the longest element of A3 has 16 reduced words
     w0 = helpers.A3.word("s1 s2 s1 s3 s2 s1")
     assert len(braid_class(helpers.A3, w0)) == 16
     top = max(braid_class(helpers.A3, w0))
 
-    def fresh():
-        # a new system, so no memo answers before the search runs
-        return CoxeterMatrix(helpers.A3.names, helpers.A3.table)
-
     pairs = [
-        (lambda cap: braid_class(fresh(), w0, cap),
-         lambda cap: helpers.reference_orbit_scan(fresh(), w0, cap)),
-        (lambda cap: commutation_class(fresh(), w0, cap),
-         lambda cap: helpers.reference_orbit_scan(fresh(), w0, cap, only_commutations=True)),
-        (lambda cap: braid_word_path(fresh(), w0, top, cap),
-         lambda cap: helpers.reference_braid_word_path(fresh(), w0, top, cap)),
-        (lambda cap: reduce_word_with_path(fresh(), w0 + w0[-1:], cap),
-         lambda cap: helpers.reference_reduce_word_with_path(fresh(), w0 + w0[-1:], cap)),
+        (lambda cap: braid_class(_fresh_a3(), w0, cap),
+         lambda cap: helpers.reference_orbit_scan(_fresh_a3(), w0, cap)),
+        (lambda cap: commutation_class(_fresh_a3(), w0, cap),
+         lambda cap: helpers.reference_orbit_scan(_fresh_a3(), w0, cap, only_commutations=True)),
+        (lambda cap: braid_word_path(_fresh_a3(), w0, top, cap),
+         lambda cap: helpers.reference_braid_word_path(_fresh_a3(), w0, top, cap)),
+        (lambda cap: reduce_word_with_path(_fresh_a3(), w0 + w0[-1:], cap),
+         lambda cap: helpers.reference_reduce_word_with_path(_fresh_a3(), w0 + w0[-1:], cap)),
     ]
     for engine, reference in pairs:
         for cap in range(1, 18):
             assert _refuses(engine, cap) == _refuses(reference, cap), cap
     assert _refuses(pairs[0][0], 15) and not _refuses(pairs[0][0], 16)
+
+
+def test_reduced_words_braid_only_to_the_normal_form():
+    # every reduced word of the longest element of A3 answers at exactly the
+    # caps where the braid path to the normal form does, with its moves: the
+    # search stops at the normal form, not at the end of the class
+    w0 = helpers.A3.word("s1 s2 s1 s3 s2 s1")
+    canon = canonical_word(helpers.A3, w0)
+    for word in sorted(braid_class(helpers.A3, w0)):
+        for cap in range(1, 17):
+            try:
+                path = helpers.reference_braid_word_path(_fresh_a3(), word, canon, cap)
+            except CapExceeded:
+                assert _refuses(lambda c: reduce_word_with_path(_fresh_a3(), word, c), cap)
+                continue
+            element, steps = reduce_word_with_path(_fresh_a3(), word, cap)
+            assert (element.word, steps) == (canon, path), (word, cap)
+    assert reduce_word_with_path(_fresh_a3(), canon, 1) == (Element(helpers.A3, canon), [])
 
 
 def test_braid_relations_of_every_order():

@@ -429,6 +429,24 @@ class TestConjugacy:
                 if verdict.status is ConjugacyStatus.CONJUGATE:
                     assert y in cls
 
+    @pytest.mark.parametrize("matrix", [helpers.A2T, helpers.B3, helpers.DINF_A2],
+                             ids=["A2~", "B3", "DinfxA2"])
+    def test_closures_meet_iff_their_least_nodes_are_equal(self, matrix):
+        # the closures of cyclically reduced conjugates preserve length, so
+        # their minimal strata intersect iff the closures share a least node,
+        # and that node is the meeting
+        elements = enumerate_elements(matrix, 5)
+        closures = {u: kappa_closure(cyclic_reduce(u)[0]) for u in elements}
+        met = 0
+        for u1, u2 in itertools.product(elements, repeat=2):
+            closure1, closure2 = closures[u1], closures[u2]
+            meet = bool(set(closure1.min_stratum) & set(closure2.min_stratum))
+            assert meet == (closure1.nodes[0] == closure2.nodes[0]), (u1, u2)
+            met += meet
+            if meet:
+                assert are_conjugate(u1, u2).meeting == closure1.nodes[0], (u1, u2)
+        assert len(elements) < met < len(elements) ** 2
+
 
 class TestFiniteOrder:
     def test_identity(self, a2t):

@@ -6,9 +6,8 @@ two products; ``torsion_witness`` grows descent closures from the supports
 of the generators' conjugates, each computed at most once, instead of
 listing the spherical subsets and conjugating a subset's generators afresh
 for every subset.
-``_elementary_targets`` walks the reduced words one shift per letter, each
-resuming the shifts of the previous word at their common prefix, instead of
-reducing every rotation, and keeps each distinct target
+``_elementary_targets`` walks each reduced word one shift per letter from the
+memo instead of reducing every rotation, and keeps each distinct target
 with its first witness; ``kappa_closure`` searches only those targets
 instead of every move.  ``has_cent_prime`` follows the orbits of the
 reflections with spherical support (R0) under each closure node instead of
@@ -24,8 +23,9 @@ to 5 letters, where Cent' also fails on elements of infinite order.
 
 ``has_cent_prime`` also memoises its verdict per length-preserving closure
 and drops an image as soon as it is too long to end in R0, and a certificate
-hop whose rotation keeps the length braids straight to the target.  Those
-must match fresh systems and the reference engines too.
+hop braids into rho, rotates and reduces, braiding a reduced rotation only as
+far as its normal form.  Those must match fresh systems and the reference
+engines too.
 """
 
 import itertools
@@ -243,9 +243,9 @@ def test_cent_prime_memo_matches_fresh_and_reference(matrix, max_len):
 @pytest.mark.parametrize("matrix", [helpers.A2T, helpers.B2T, helpers.G2T, helpers.B3],
                          ids=["A2~", "B2~", "G2~", "B3"])
 def test_hop_certificates_match_reference(matrix):
-    # every parent edge of every closure of elements of at most 6 letters:
-    # a hop that keeps the length braids straight to the target and takes
-    # the moves that reducing the rotation took
+    # every parent edge of every closure of elements of at most 6 letters,
+    # against the reference braid-path and reduction engines, on hops that
+    # keep the length and on hops that shorten it
     kept = shortened = 0
     for u in enumerate_elements(matrix, 6):
         for target, (prev, rho, k) in kappa_closure(u).parents.items():
