@@ -10,8 +10,7 @@ forms come from the table of minimal roots of Brink and Howlett (see
   * a word is reduced iff each letter passes that test against the prefix
     before it; appending letters one at a time and deleting at the exchange
     position reduces any word;
-  * the shortlex-least reduced word, the normal form, is built by stripping
-    the least left descent again and again.
+  * the same walk builds the shortlex-least reduced word (``_normal_form``).
 
 So the word layer (``canonical_word``, ``is_reduced``, products, inverses,
 descents, and conjugates, built by ``_conjugate_word`` one cyclic shift
@@ -400,27 +399,41 @@ def _reduce(act: dict, word: Word, prefix: Word = b"") -> Word:
     return bytes(out)
 
 
-def _shortlex(matrix: CoxeterMatrix, act: dict, word: Word) -> Word:
-    """The shortlex-least word of the element spelled by the reduced ``word``.
+def _normal_form(act: dict, word: Word, prefix: Word = b"") -> Word:
+    """The normal form of ``prefix + word``, for ``prefix`` a normal form.
 
-    Strips the least left descent again and again, working on the reversed
-    word (which spells the inverse, so left descents become right ones).  The
-    first letter is always a left descent, so only smaller letters need a
-    test, and only those with a finite order against it: left descents
-    generate a finite group.
+    :func:`_reduce`, except that a letter s with no exchange position is not
+    appended: t is inserted before ``out[k]`` for the least k at which the
+    walk, just after ``out[k]``, holds the simple root of some t < ``out[k]``
+    (simple roots are the indices below the rank; the negative sentinels
+    pass the same test).  Why, for NF(v) = a_1...a_n:
+
+    1. every factor of a normal form is a normal form;
+    2. if l(vs) > l(v), D_L(vs) = D_L(v) + {t}, t existing iff v s v^-1 = t
+       is in S: by exchange, a new left descent deletes the last letter;
+    3. so by (1), (2) and induction, NF(vs) = a_1...a_k t a_(k+1)...a_n for
+       the least k with v_k s v_k^-1 = t < a_(k+1), v_k = a_(k+1)...a_n,
+       and k = n (append s) if there is none;
+    4. the walk holds v_k(a_s) just after a_(k+1); a root that reached
+       ``NONMIN`` never becomes simple (dominance is W-invariant and simple
+       roots dominate nothing), so the walk stops where _reduce's does;
+    5. if l(vs) < l(v), the exchange position i is unique, and (3) applied
+       to (vs)s gives NF(vs) = NF(v) minus letter i.
     """
-    out = bytearray()
-    rev = bytearray(word[::-1])
-    candidates = matrix._descent_candidates
-    while rev:
-        least, pos = rev[-1], len(rev) - 1
-        for t in candidates[least]:
-            i = _exchange(act, rev, t)
-            if i is not None:
-                least, pos = t, i
-                break
-        out.append(least)
-        del rev[pos]
+    out = bytearray(prefix)
+    for s in word:
+        beta, k, t = s, len(out), s
+        for i in range(len(out) - 1, -1, -1):
+            a = out[i]
+            beta = act[beta][a]
+            if beta < a:
+                if beta < 0:
+                    break
+                k, t = i, beta
+        if beta == NEG:
+            del out[i]
+        else:
+            out.insert(k, t)
     return bytes(out)
 
 
@@ -454,26 +467,16 @@ def commutation_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_
 
 
 def canonical_word(matrix: CoxeterMatrix, word: WordLike) -> Word:
-    """Shortlex-least reduced word of the element spelled by ``word``.
-
-    Reduces by the exchange walk, then strips least left descents; no search.
-    The answer is memoised under the input, the reduced word and the answer
-    itself.
-    """
+    """Shortlex-least reduced word of the element spelled by ``word``: one
+    exchange walk per letter, no search; memoised under the input and itself."""
     if not isinstance(word, bytes):
         word = matrix.word(word)
     cache = matrix._scratch["canon"]
     canon = cache.get(word)
     if canon is None:
         word = matrix.word(word)  # a miss is validated; every memo key was when stored
-        act = _root_table(matrix)
-        reduced = _reduce(act, word)
-        canon = cache.get(reduced)
-        if canon is None:
-            canon = _shortlex(matrix, act, reduced)
-            cache[reduced] = canon
-            cache[canon] = canon
-        cache[word] = canon
+        canon = cache[word] = _normal_form(_root_table(matrix), word)
+        cache[canon] = canon
     return canon
 
 
@@ -614,17 +617,13 @@ def power(x: Element, n: int) -> Element:
 
 
 def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
-    """The canonical word of s*v*s for the reduced ``word`` v, memoised per
-    system; no search.  Twice, multiply by s on the right (the exchange walk)
-    and reverse, which spells the inverse: v -> s v^-1 -> s v s."""
+    """The canonical word of s*v*s for the canonical ``word`` v, memoised per
+    system: v*s appended to the normal form s by :func:`_normal_form`."""
     cache = matrix._scratch["shift"]
     hit = cache.get((word, s))
     if hit is None:
-        act, out = _root_table(matrix), word
-        for _ in range(2):
-            i = _exchange(act, out, s)
-            out = (out + bytes((s,)) if i is None else out[:i] + out[i + 1 :])[::-1]
-        hit = cache[word, s] = _shortlex(matrix, act, out)
+        letter = bytes((s,))
+        hit = cache[word, s] = _normal_form(_root_table(matrix), word + letter, letter)
     return hit
 
 

@@ -4,7 +4,9 @@ The systems are module-level singletons so that every test module reuses the
 same memo caches.  The oracles here are deliberately naive re-derivations
 (fixpoint iteration, explicit subgroup enumeration) kept independent of the
 engine's search machinery, plus reference engines that the engine replaced
-and must still match: separate breadth-first searches over explicit
+and must still match: the normal form by reduction and then the
+least-left-descent strip, and the cyclic shift s*v*s by two exchange walks
+and that strip; separate breadth-first searches over explicit
 braid-move steps, which the engine's one orbit search must match move for
 move; conjugation as two products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
@@ -49,6 +51,7 @@ from coxkit import (
     spherical_subsets,
     support,
 )
+from coxkit.core import _exchange, _reduce, _root_table
 from coxkit.errors import CapExceeded
 
 INF = math.inf
@@ -239,6 +242,51 @@ def reference_braid_word_path(matrix, source, target, cap=DEFAULT_CAP):
                 return _walk_parents(parents, target)
             queue.append(nxt)
     raise ValueError("not braid-related")
+
+
+# ---------------------------------------------------------------------------
+# reference normal forms
+
+
+def _shortlex(matrix, act, word):
+    """The shortlex-least word of the element spelled by the reduced ``word``.
+
+    Strips the least left descent again and again, working on the reversed
+    word (which spells the inverse, so left descents become right ones).  The
+    first letter is always a left descent, so only smaller letters need a
+    test, and only those with a finite order against it: left descents
+    generate a finite group.
+    """
+    out = bytearray()
+    rev = bytearray(word[::-1])
+    candidates = matrix._descent_candidates
+    while rev:
+        least, pos = rev[-1], len(rev) - 1
+        for t in candidates[least]:
+            i = _exchange(act, rev, t)
+            if i is not None:
+                least, pos = t, i
+                break
+        out.append(least)
+        del rev[pos]
+    return bytes(out)
+
+
+def reference_normal_form(matrix, word):
+    """The normal form by reduction, then the descent strip."""
+    act = _root_table(matrix)
+    return _shortlex(matrix, act, _reduce(act, word))
+
+
+def reference_shift(matrix, word, s):
+    """The normal form of s*v*s for the reduced ``word`` v: twice, multiply
+    by s on the right (the exchange walk) and reverse, which spells the
+    inverse, v -> s v^-1 -> s v s; then the descent strip."""
+    act, out = _root_table(matrix), word
+    for _ in range(2):
+        i = _exchange(act, out, s)
+        out = (out + bytes((s,)) if i is None else out[:i] + out[i + 1 :])[::-1]
+    return _shortlex(matrix, act, out)
 
 
 # ---------------------------------------------------------------------------

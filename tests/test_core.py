@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from coxkit import (
     right_descents,
     support,
 )
-from coxkit.core import _reduce, _root_table, _search
+from coxkit.core import _normal_form, _reduce, _root_table, _search, _shift
 from coxkit.errors import CapExceeded, MalformedMatrix, NotReduced, WordSyntaxError
 
 
@@ -209,15 +211,13 @@ class TestReduce:
         assert canonical_word(a2t, b"") == b""
         assert canonical_word(a2t, a2t.word("uss")) == a2t.word("u")
 
-    def test_canonical_memoised_under_input_reduced_and_answer(self, a3):
-        # fresh system: the reduction passes s2 s2 s3 s2 s3 and reaches the
-        # reduced s3 s2 s3, whose normal form is s2 s3 s2; the intermediate
-        # word gets no memo entry
+    def test_canonical_memoised_under_input_and_answer(self, a3):
+        # fresh system: the normal form is built letter by letter, so no
+        # reduced word other than the answer is ever formed
         matrix = CoxeterMatrix(a3.names, a3.table)
         word = matrix.word("s1 s1 s2 s2 s3 s2 s3")
         assert canonical_word(matrix, word) == matrix.word("s2 s3 s2")
-        assert matrix._scratch["canon"].keys() == {
-            word, matrix.word("s3 s2 s3"), matrix.word("s2 s3 s2")}
+        assert matrix._scratch["canon"].keys() == {word, matrix.word("s2 s3 s2")}
 
     @pytest.mark.parametrize("matrix", helpers.WORD_PROBLEM_SYSTEMS,
                              ids=lambda m: "".join(m.names))
@@ -234,6 +234,57 @@ class TestReduce:
             for word in helpers.all_words(matrix, 5):
                 canon = canonical_word(matrix, word)
                 assert canon == min(braid_class(matrix, canon))
+
+
+class TestNormalForm:
+    """The one-walk normal form against reduction plus the descent strip."""
+
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+    def test_every_short_word(self, matrix):
+        act = _root_table(matrix)
+        for word in helpers.all_words(matrix, 6):
+            assert _normal_form(act, word) == helpers.reference_normal_form(matrix, word), word
+
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+    def test_random_words_and_their_shifts(self, matrix):
+        # a fresh system, so that every shift is computed, not read back
+        rng = random.Random(21)
+        matrix = CoxeterMatrix(matrix.names, matrix.table)
+        act = _root_table(matrix)
+        for _ in range(40):
+            word = bytes(rng.randrange(matrix.rank) for _ in range(rng.randint(10, 60)))
+            canon = _normal_form(act, word)
+            assert canon == helpers.reference_normal_form(matrix, word), word
+            for s in range(matrix.rank):
+                assert _shift(matrix, canon, s) == helpers.reference_shift(matrix, canon, s)
+
+    @pytest.mark.parametrize("matrix", [helpers.A2T, helpers.A3T, helpers.T237],
+                             ids=lambda m: "".join(m.names))
+    def test_long_powers_of_coxeter_elements(self, matrix):
+        # the generators in either order give a Coxeter element, whose powers
+        # are reduced in these infinite systems; a fresh system computes the
+        # shifts
+        matrix = CoxeterMatrix(matrix.names, matrix.table)
+        act = _root_table(matrix)
+        for order in (bytes(range(matrix.rank)), bytes(range(matrix.rank))[::-1]):
+            for length in (100, 400, 1600):
+                word = (order * (length // matrix.rank + 1))[:length]
+                canon = _normal_form(act, word)
+                assert len(canon) == length
+                assert canon == helpers.reference_normal_form(matrix, word), length
+                s = word[-1]
+                assert _shift(matrix, canon, s) == helpers.reference_shift(matrix, canon, s)
+
+    @pytest.mark.parametrize("matrix", helpers.WORD_PROBLEM_SYSTEMS,
+                             ids=lambda m: "".join(m.names))
+    def test_resumes_after_a_normal_form_prefix(self, matrix):
+        act = _root_table(matrix)
+        words = list(helpers.all_words(matrix, 4))
+        prefixes = {_normal_form(act, word) for word in words}
+        for prefix in prefixes:
+            for word in words:
+                assert _normal_form(act, word, prefix) == _normal_form(act, prefix + word), (
+                    prefix, word)
 
 
 class TestArithmetic:

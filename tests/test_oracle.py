@@ -101,17 +101,17 @@ class TestEnumeration:
 
     def test_builds_normal_forms_without_stripping_descents(self, monkeypatch):
         # each normal form is a least left descent followed by a normal form
-        # found before it: nothing is stripped and nothing is memoised
-        # beyond the root table
+        # found before it: no word is reduced to its normal form and nothing
+        # is memoised beyond the root table
         calls = []
-        original = core._shortlex
+        original = core._normal_form
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(core, "_shortlex", counted)
-        monkeypatch.setattr(oracle, "_shortlex", counted, raising=False)
+        monkeypatch.setattr(core, "_normal_form", counted)
+        monkeypatch.setattr(oracle, "_normal_form", counted, raising=False)
         for matrix in helpers.ALL_SYSTEMS:
             fresh = CoxeterMatrix(matrix.names, matrix.table)
             assert len(enumerate_elements(fresh, 5)) > 1
