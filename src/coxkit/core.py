@@ -377,14 +377,10 @@ def _exchange(act: dict, word, s: int) -> Optional[int]:
 
 
 def _reduce(act: dict, word: Word, prefix: Word = b"") -> Word:
-    """A reduced word for the element spelled by ``prefix + word``, for a
-    reduced ``prefix``.
-
-    Appends letter after letter, deleting at the exchange position (the walk
-    of :func:`_exchange`, inlined: this loop is the engine's hot path).  The
-    letters of a reduced prefix would all be appended unchanged, so the walk
-    resumes after them.
-    """
+    """A reduced word for ``prefix + word``, for a reduced ``prefix``, by the
+    inlined exchange walk, deleting or appending each letter; a reduced prefix
+    is appended unchanged, so the walk resumes after it.  Faster than
+    :func:`_normal_form`, so the length-only callers use this."""
     out = bytearray(prefix)
     for s in word:
         beta = s
@@ -399,8 +395,8 @@ def _reduce(act: dict, word: Word, prefix: Word = b"") -> Word:
     return bytes(out)
 
 
-def _normal_form(act: dict, word: Word, prefix: Word = b"") -> Word:
-    """The normal form of ``prefix + word``, for ``prefix`` a normal form.
+def _normal_form(act: dict, word: Word) -> Word:
+    """The normal form (shortlex-least reduced word) of ``word``.
 
     :func:`_reduce`, except that a letter s with no exchange position is not
     appended: t is inserted before ``out[k]`` for the least k at which the
@@ -414,13 +410,17 @@ def _normal_form(act: dict, word: Word, prefix: Word = b"") -> Word:
     3. so by (1), (2) and induction, NF(vs) = a_1...a_k t a_(k+1)...a_n for
        the least k with v_k s v_k^-1 = t < a_(k+1), v_k = a_(k+1)...a_n,
        and k = n (append s) if there is none;
-    4. the walk holds v_k(a_s) just after a_(k+1); a root that reached
-       ``NONMIN`` never becomes simple (dominance is W-invariant and simple
-       roots dominate nothing), so the walk stops where _reduce's does;
+    4. the walk holds v_k(a_s) just after a_(k+1), and stops where _reduce's
+       does: a root b = x(a_s) (x the letters walked) that reached
+       ``NONMIN`` never becomes simple.  Else b dominates a positive root
+       c != b, and u(b) = a_t for the letters u still to walk.  By
+       W-invariance a_s dominates x^-1(c), so x^-1(c) < 0, as a simple
+       root dominates no other positive root; c is a left inversion of x
+       and u x is reduced, so u(c) > 0, and a_t cannot dominate u(c) != a_t;
     5. if l(vs) < l(v), the exchange position i is unique, and (3) applied
        to (vs)s gives NF(vs) = NF(v) minus letter i.
     """
-    out = bytearray(prefix)
+    out = bytearray()
     for s in word:
         beta, k, t = s, len(out), s
         for i in range(len(out) - 1, -1, -1):
@@ -618,12 +618,12 @@ def power(x: Element, n: int) -> Element:
 
 def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
     """The canonical word of s*v*s for the canonical ``word`` v, memoised per
-    system: v*s appended to the normal form s by :func:`_normal_form`."""
+    system: :func:`_normal_form` of the word s v s."""
     cache = matrix._scratch["shift"]
     hit = cache.get((word, s))
     if hit is None:
         letter = bytes((s,))
-        hit = cache[word, s] = _normal_form(_root_table(matrix), word + letter, letter)
+        hit = cache[word, s] = _normal_form(_root_table(matrix), letter + word + letter)
     return hit
 
 

@@ -275,17 +275,6 @@ class TestNormalForm:
                 s = word[-1]
                 assert _shift(matrix, canon, s) == helpers.reference_shift(matrix, canon, s)
 
-    @pytest.mark.parametrize("matrix", helpers.WORD_PROBLEM_SYSTEMS,
-                             ids=lambda m: "".join(m.names))
-    def test_resumes_after_a_normal_form_prefix(self, matrix):
-        act = _root_table(matrix)
-        words = list(helpers.all_words(matrix, 4))
-        prefixes = {_normal_form(act, word) for word in words}
-        for prefix in prefixes:
-            for word in words:
-                assert _normal_form(act, word, prefix) == _normal_form(act, prefix + word), (
-                    prefix, word)
-
 
 class TestArithmetic:
     def test_generator_squares_to_identity(self, a2t):
