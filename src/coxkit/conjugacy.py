@@ -33,11 +33,11 @@ from .core import (
     Step,
     Word,
     apply_step,
-    braid_class,
     braid_word_path,
     conjugate,
     reduce_word_with_path,
     support,
+    _braid_orbit,
     _exchange,
     _root_table,
     _search,
@@ -127,22 +127,27 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
     the canonical word of each element spelled by a rotation of one of its
     reduced words, in order of first appearance (reduced words shortlex,
     then rotation amount), mapped to its first witness (rho, k), and the
-    number of reduced words walked.  Memoised per system; a hit over ``cap``
-    words is walked again, so :func:`braid_class` refuses as on a fresh
-    system.  The rotation of rho by k is x^-1 u x with x = rho[:k]: the
-    shift of its rotation by k - 1 by rho[k-1], read from the shift memo
-    (``core._shift`` on a miss)."""
+    number of reduced words walked.  The words are the braid-move orbit of
+    ``word``, which is reduced, so no reducedness stop is needed.  Memoised
+    per system; a hit over ``cap`` words is walked again, so the orbit
+    search refuses as on a fresh system.  The rotation of rho by k is
+    x^-1 u x with x = rho[:k]: the shift of its rotation by k - 1 by
+    rho[k-1], read from the shift memo (``core._shift`` on a miss).  The
+    full rotation spells u, which the first word has already reached, so
+    the words after it stop one letter short."""
     cache = matrix._scratch["elementary_targets"]
     hit = cache.get(word)
     if hit is None or hit[1] > cap:
         shifts = matrix._scratch["shift"]
-        words = sorted(braid_class(matrix, word, cap))
-        found = {}
+        words = sorted(_braid_orbit(matrix, word, cap)[0])
+        found, walk = {}, len(word)
         for rho in words:
             v = word
-            for k, s in enumerate(rho, 1):
+            for k, s in enumerate(rho[:walk], 1):
                 v = shifts.get((v, s)) or _shift(matrix, v, s)
-                found.setdefault(v, (rho, k))
+                if v not in found:
+                    found[v] = (rho, k)
+            walk = len(word) - 1
         hit = cache[word] = (found, len(words))
     return hit
 
@@ -290,7 +295,11 @@ def is_finite_order(w: Element, cap: int = DEFAULT_CAP) -> bool:
 
     Sound because such a node lies in a finite standard parabolic subgroup;
     complete because a finite-order element always reaches one by these moves.
+    w is the first node, so when its own support is spherical the answer is
+    True with no closure searched, at every cap.
     """
+    if parabolic._is_spherical(w.system, support(w)):
+        return True
     return any(parabolic._is_spherical(w.system, support(v))
                for v in kappa_closure(w, cap).nodes)
 

@@ -337,8 +337,11 @@ def _braid_moves(table, cur: Word, commutations_only: bool = False):
     n = len(cur)
     for pos in range(n - 1):
         m = table[cur[pos]][cur[pos + 1]]
+        if m == 2:  # a commuting pair always swaps
+            yield cur[:pos] + cur[pos + 1 : pos + 2] + cur[pos : pos + 1] + cur[pos + 2 :], pos
+            continue
         # m is 1 on a repeated letter, and an infinite m never fits
-        if m == 1 or pos + m > n or (commutations_only and m != 2):
+        if m == 1 or pos + m > n or commutations_only:
             continue
         # the m letters from pos alternate when each repeats the one two
         # places back; the move reads them from pos + 1, then repeats the
@@ -395,8 +398,10 @@ def _reduce(act: dict, word: Word, prefix: Word = b"") -> Word:
     return bytes(out)
 
 
-def _normal_form(act: dict, word: Word) -> Word:
-    """The normal form (shortlex-least reduced word) of ``word``.
+def _normal_form(act: dict, word: Word, prefix: Word = b"") -> Word:
+    """The normal form (shortlex-least reduced word) of ``prefix + word``,
+    for ``prefix`` itself a normal form: by (1) below every letter of it
+    would stay where it is, so the walk resumes after it.
 
     :func:`_reduce`, except that a letter s with no exchange position is not
     appended: t is inserted before ``out[k]`` for the least k at which the
@@ -420,7 +425,7 @@ def _normal_form(act: dict, word: Word) -> Word:
     5. if l(vs) < l(v), the exchange position i is unique, and (3) applied
        to (vs)s gives NF(vs) = NF(v) minus letter i.
     """
-    out = bytearray()
+    out = bytearray(prefix)
     for s in word:
         beta, k, t = s, len(out), s
         for i in range(len(out) - 1, -1, -1):
@@ -447,8 +452,9 @@ def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -
     """The set of words reachable from a reduced word by braid moves.
 
     By Tits' theorem this is exactly the set of reduced words of the element.
-    It is searched on every call and not memoised: its one engine caller
-    walks it once into the memoised rotation targets.
+    It is searched on every call and not memoised: its one caller in the
+    package, ``straight.is_fc_definitional``, compares it once with the
+    commutation class.
     """
     word = matrix.word(word)
     seen, repeat = _braid_orbit(matrix, word, cap, stop=_has_repeat)
@@ -618,12 +624,14 @@ def power(x: Element, n: int) -> Element:
 
 def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
     """The canonical word of s*v*s for the canonical ``word`` v, memoised per
-    system: :func:`_normal_form` of the word s v s."""
+    system: :func:`_normal_form` of the word s v s, or, when v starts with s,
+    of v[1:] s, resumed after the normal form v[1:] (one exchange walk)."""
     cache = matrix._scratch["shift"]
     hit = cache.get((word, s))
     if hit is None:
-        letter = bytes((s,))
-        hit = cache[word, s] = _normal_form(_root_table(matrix), letter + word + letter)
+        letter, act = bytes((s,)), _root_table(matrix)
+        hit = cache[word, s] = (_normal_form(act, letter, word[1:]) if word[:1] == letter
+                                else _normal_form(act, letter + word + letter))
     return hit
 
 

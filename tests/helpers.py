@@ -8,7 +8,9 @@ and must still match: the normal form by reduction and then the
 least-left-descent strip, and the cyclic shift s*v*s by two exchange walks
 and that strip; separate breadth-first searches over explicit
 braid-move steps, which the engine's one orbit search must match move for
-move; conjugation as two products; the cyclic-shift moves, closure search
+move; the rotation-target map over the reduced words of ``braid_class``,
+each walked through its full length by reference shifts; conjugation as two
+products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup w_I W_J w_I^-1, listed by enumerating every spherical
 W_I, one product at a time; the torsion scan that lists the spherical
@@ -296,6 +298,21 @@ def reference_shift(matrix, word, s):
 def reference_conjugate(v, x):
     """v x v^-1 as two products, each a fresh reduction."""
     return multiply(multiply(v, x), inverse(v))
+
+
+def reference_elementary_targets(matrix, word, cap=DEFAULT_CAP):
+    """``(targets, words)`` as the rotation-target map used to build them:
+    every word of :func:`braid_class`, shortlex, walked through its full
+    length one reference shift per letter, keeping each target's first
+    witness ``(rho, k)``; ``words`` is the size of the braid class."""
+    words = sorted(braid_class(matrix, word, cap))
+    found = {}
+    for rho in words:
+        v = word
+        for k, s in enumerate(rho, 1):
+            v = reference_shift(matrix, v, s)
+            found.setdefault(v, (rho, k))
+    return found, len(words)
 
 
 def reference_elementary_edges(u, cap=DEFAULT_CAP):

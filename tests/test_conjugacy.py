@@ -458,6 +458,16 @@ class TestFiniteOrder:
     def test_coxeter_element_of_affine_group(self, a2t):
         assert not is_finite_order(a2t.element("stu"))
 
+    def test_spherical_support_answers_with_no_closure(self):
+        # the longest element of A5 has spherical support, so it lies in a
+        # finite group: True at cap 1, with no closure searched
+        a5 = CoxeterMatrix.from_pairs([f"s{i}" for i in range(1, 6)],
+                                      {(f"s{i}", f"s{i + 1}"): 3 for i in range(1, 5)})
+        w0 = a5.element("s1 s2 s1 s3 s2 s1 s4 s3 s2 s1 s5 s4 s3 s2 s1")
+        assert w0.length == 15
+        assert is_finite_order(w0, cap=1)
+        assert "closure" not in a5._scratch
+
 
 def _cent_prime_definitional(u, cap=100_000):
     """Independent scan: explicit subgroup element sets for membership."""

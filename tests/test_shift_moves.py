@@ -16,7 +16,11 @@ by product.  All must agree with the reference engines in ``helpers``
 exactly: conjugates and normaliser tests for every pair of elements of at
 most 3 letters; distinct targets with their first witnesses in order of
 first appearance, and closure nodes and parents (previous node, reduced
-word, rotation) on every element of the sweep (949 of them); R0 against the
+word, rotation) on every element of the sweep (949 of them); the targets,
+witnesses and word counts again, on fresh systems, against the map that
+walked every word of ``braid_class`` through its full length by reference
+shifts, on every element of up to 6 letters in every test system, with the
+same refusals below the 16 words of A3's longest element; R0 against the
 generators of every reference candidate; and Cent' verdicts on every
 cyclically reduced element of the sweep and of D_inf x A2 and D_inf x B2 up
 to 5 letters, where Cent' also fails on elements of infinite order.
@@ -54,6 +58,7 @@ from coxkit.conjugacy import (
     _spherical_reflections,
 )
 from coxkit.core import _conjugate_word
+from coxkit.errors import CapExceeded
 
 # system, longest element length swept
 SYSTEMS = {
@@ -79,6 +84,41 @@ def test_targets_match_reference(matrix, max_len):
         targets, words = _elementary_targets(matrix, u.word)
         assert list(targets.items()) == list(expected.items()), u
         assert words == len(braid_class(matrix, u.word)), u
+
+
+@pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+def test_targets_match_the_full_rotation_walk(matrix):
+    # the map searches the braid-move orbit with no reducedness stop, walks
+    # the words after the first one letter short and resumes a shift by v's
+    # first letter after v[1:]; none of that may change a target, a witness
+    # or their order
+    ours = CoxeterMatrix(matrix.names, matrix.table)
+    theirs = CoxeterMatrix(matrix.names, matrix.table)
+    for e in enumerate_elements(ours, 6):
+        found, words = _elementary_targets(ours, e.word)
+        expected, expected_words = helpers.reference_elementary_targets(theirs, e.word)
+        assert list(found.items()) == list(expected.items()), e
+        assert words == expected_words, e
+
+
+def test_targets_refuse_as_the_full_rotation_walk():
+    # A3's longest element has 16 reduced words: both maps refuse below cap
+    # 16 with the braid-move search's text and agree above it
+    def outcome(targets, cap):
+        matrix = CoxeterMatrix(helpers.A3.names, helpers.A3.table)
+        try:
+            found, words = targets(matrix, matrix.word("s1 s2 s1 s3 s2 s1"), cap)
+        except CapExceeded as exc:
+            return str(exc)
+        return list(found.items()), words
+
+    for cap in range(1, 18):
+        ours = outcome(_elementary_targets, cap)
+        assert ours == outcome(helpers.reference_elementary_targets, cap), cap
+        if cap < 16:
+            assert ours == f"braid-move orbit exceeded the node cap of {cap}"
+        else:
+            assert ours[1] == 16
 
 
 @pytest.mark.parametrize("matrix, max_len", SYSTEMS.values(), ids=SYSTEMS.keys())
