@@ -244,7 +244,7 @@ def cmd_cyclic_reduce(matrix, args, out):
 
 def cmd_kappa_class(matrix, args, out):
     closure = conjugacy.kappa_closure(matrix.element(args.word), args.cap)
-    words = [matrix.word_str(v.word) for v in closure.nodes]
+    words = [matrix.word_str(v) for v in closure.words]
     out.result(
         {
             "nodes": words,

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
 
 from .core import (
     DEFAULT_CAP,
+    INFINITY,
     BraidStep,
     CancelStep,
     CoxeterMatrix,
@@ -164,20 +166,46 @@ def elementary_related(u: Element, cap: int = DEFAULT_CAP) -> frozenset:
 class KappaClosure:
     """The reachable set under braid moves, cyclic shifts and cancellations.
 
-    ``nodes`` and ``min_stratum`` are canonically ordered.  ``parents[v] =
-    (previous, rho, k)`` is the move that first reached v in the search: v is
-    spelled by rotating the reduced word rho of previous by k letters.  It is
-    read-only and takes no part in comparison, nor does ``peak``, the largest
-    braid class among the nodes.
+    The record holds words: ``words``, the canonical words of the nodes in
+    canonical order, and ``word_parents[v] = (previous, (rho, k))``, the move
+    that first reached the node v in the search: v is spelled by rotating
+    the reduced word rho of previous by k letters.  ``peak`` is the largest
+    braid class among the nodes.  The element views ``nodes`` and
+    ``min_stratum`` (canonically ordered) and ``parents[v] = (previous, rho,
+    k)``, keyed by elements, are built from the words on first read and
+    cached, so a caller that reads only words builds no element object.  The
+    record is read-only; two records are equal iff their starts and nodes
+    are, and ``word_parents`` and ``peak`` take no part in comparison.
     """
 
     start: Element
-    nodes: tuple
-    parents: MappingProxyType = field(compare=False)
-    min_length: int
-    min_stratum: tuple
-    length_preserved: bool
+    words: tuple
+    word_parents: MappingProxyType = field(compare=False)
     peak: int = field(compare=False)
+
+    @property
+    def min_length(self) -> int:
+        return len(self.words[0])
+
+    @property
+    def length_preserved(self) -> bool:
+        return len(self.words[0]) == len(self.start.word)
+
+    @cached_property
+    def nodes(self) -> tuple:
+        matrix = self.start.system
+        return tuple(Element(matrix, v) for v in self.words)
+
+    @cached_property
+    def min_stratum(self) -> tuple:
+        low = self.min_length
+        return tuple(v for v in self.nodes if v.length == low)
+
+    @cached_property
+    def parents(self) -> MappingProxyType:
+        element = dict(zip(self.words, self.nodes))
+        return MappingProxyType({element[v]: (element[prev], rho, k)
+                                 for v, (prev, (rho, k)) in self.word_parents.items()})
 
 
 def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
@@ -190,7 +218,7 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
     matrix = u.system
     cache = matrix._scratch["closure"]
     hit = cache.get(u.word)
-    if hit is not None and max(hit.peak, len(hit.nodes)) <= cap:
+    if hit is not None and max(hit.peak, len(hit.words)) <= cap:
         return hit
     peak = 0
 
@@ -202,20 +230,12 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
 
     parents = {}
     seen, _ = _search(u.word, moves, cap, "cyclic-shift closure", parents=parents)
-    element = {v: Element(matrix, v) for v in sorted(seen, key=lambda v: (len(v), v))}
-    nodes = tuple(element.values())
-    low = nodes[0].length
-    record = KappaClosure(
+    record = cache[u.word] = KappaClosure(
         start=u,
-        nodes=nodes,
-        parents=MappingProxyType({element[v]: (element[prev], rho, k)
-                                  for v, (prev, (rho, k)) in parents.items()}),
-        min_length=low,
-        min_stratum=tuple(v for v in nodes if v.length == low),
-        length_preserved=(low == u.length),
+        words=tuple(sorted(seen, key=lambda v: (len(v), v))),
+        word_parents=MappingProxyType(parents),
         peak=peak,
     )
-    cache[u.word] = record
     return record
 
 
@@ -232,17 +252,20 @@ def _hop_certificate(prev: Element, rho: Word, k: int, target: Element,
     return MoveCertificate(prev.word, tuple(steps), target.word)
 
 
-def _path_certificate(start: Element, parents: dict, target: Element,
-                      cap: int) -> MoveCertificate:
+def _path_certificate(closure: KappaClosure, target: Word, cap: int) -> MoveCertificate:
+    """The moves from the start of ``closure`` to its node ``target``, along
+    the parent map of the search."""
+    matrix, start = closure.start.system, closure.start.word
     hops = []
     cur = target
     while cur != start:
-        prev, rho, k = parents[cur]
+        prev, (rho, k) = closure.word_parents[cur]
         hops.append((prev, rho, k, cur))
         cur = prev
-    cert = MoveCertificate(start.word, (), start.word)
+    cert = MoveCertificate(start, (), start)
     for prev, rho, k, nxt in reversed(hops):
-        cert = cert.then(_hop_certificate(prev, rho, k, nxt, cap))
+        cert = cert.then(_hop_certificate(Element(matrix, prev), rho, k,
+                                          Element(matrix, nxt), cap))
     return cert
 
 
@@ -271,7 +294,8 @@ def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
 def _reduced_node(closure: KappaClosure) -> Element:
     """The element :func:`cyclic_reduce` returns: the start when the closure
     preserves length, the least node of the minimal stratum otherwise."""
-    return closure.start if closure.length_preserved else closure.min_stratum[0]
+    return closure.start if closure.length_preserved else Element(
+        closure.start.system, closure.words[0])
 
 
 def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
@@ -283,7 +307,7 @@ def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
     """
     closure = kappa_closure(w, cap)
     target = _reduced_node(closure)
-    return target, _path_certificate(w, closure.parents, target, cap)
+    return target, _path_certificate(closure, target.word, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +324,8 @@ def is_finite_order(w: Element, cap: int = DEFAULT_CAP) -> bool:
     """
     if parabolic._is_spherical(w.system, support(w)):
         return True
-    return any(parabolic._is_spherical(w.system, support(v))
-               for v in kappa_closure(w, cap).nodes)
+    return any(parabolic._is_spherical(w.system, frozenset(v))
+               for v in kappa_closure(w, cap).words)
 
 
 def _spherical_reflections(matrix: CoxeterMatrix, cap: int) -> tuple:
@@ -406,10 +430,10 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
                     return True
         return False
 
-    verdict = not any(moves_a_spherical_orbit(w.word) for w in closure.nodes)
+    verdict = not any(moves_a_spherical_orbit(w) for w in closure.words)
     if closure.length_preserved:
-        for w in closure.nodes:
-            cache[w.word] = verdict
+        for w in closure.words:
+            cache[w] = verdict
     return verdict
 
 
@@ -426,6 +450,7 @@ class ConjugacyStatus(Enum):
 class CompletenessBasis(Enum):
     CENT_PRIME_INFINITE_ORDER = "cent-prime-infinite-order"
     BRUTE_FORCE = "brute-force"
+    ABELIAN_INVARIANT = "abelian-invariant"
 
 
 @dataclass(frozen=True)
@@ -445,15 +470,48 @@ class ConjugacyVerdict:
     basis: Optional[CompletenessBasis] = None
 
 
+def _abelian_image(matrix: CoxeterMatrix, word: Word) -> tuple:
+    """The image of the element spelled by ``word`` in the abelianisation
+    W^ab = (Z/2)^c, c the number of components of the graph of odd orders
+    m(s, t): the parity of its letters from each component, components
+    ordered by least member.  Generators joined by an odd order are
+    conjugate, and every relation keeps these parities, so conjugates have
+    equal images."""
+    remaining = set(range(matrix.rank))
+
+    def odd_neighbours(i):
+        orders = matrix.table[i]
+        return ((j, None) for j in remaining if orders[j] != INFINITY and orders[j] % 2)
+
+    image = []
+    while remaining:
+        comp, _ = _search(min(remaining), odd_neighbours, INFINITY, "odd-order graph search")
+        image.append(sum(letter in comp for letter in word) % 2)
+        remaining -= comp
+    return tuple(image)
+
+
 def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                   brute_force: bool = False, brute_len_cap: int = 16) -> ConjugacyVerdict:
     """Decide conjugacy through minimal strata of the move closures.
 
-    Intersecting strata prove conjugacy with certificates.  Disjoint strata
-    prove non-conjugacy only under the completeness hypotheses (infinite
-    order plus the centralising property, on either input), or through the
-    brute-force fallback when it can enumerate the whole group; otherwise the
-    verdict is UNKNOWN.
+    The verdict reads only the start closures, of u1 and of u2.  The key of
+    u is the least node of its start closure's minimal stratum.  A
+    shortening start closure has that node as its cyclically reduced node
+    v (:func:`cyclic_reduce`); v's closure is reachable from u and never
+    gains length, so it lies in that stratum, and its least node is v.  A
+    length-preserving start closure has v = u and is v's closure.  Either
+    way the key is the least node of v's closure, and v's closure, which
+    preserves length, is a class: a rotation that keeps the length is
+    undone by rotating back.  So the minimal strata of u1 and u2 meet iff
+    their keys are equal.  Then the pair is CONJUGATE, meeting at the key,
+    with a certificate from each input to it over its start closure.
+
+    Disjoint strata prove non-conjugacy under the completeness hypotheses
+    (infinite order plus the centralising property, on either cyclically
+    reduced node), or through the brute-force fallback when it can
+    enumerate the whole group, or when the images in the abelianisation
+    differ (:func:`_abelian_image`); otherwise the verdict is UNKNOWN.
     """
     if u1.system != u2.system:
         raise ValueError("elements live in different Coxeter systems")
@@ -462,24 +520,16 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
     # certificates are built only for a CONJUGATE verdict, the one that
     # carries them
     start1, start2 = kappa_closure(u1, cap), kappa_closure(u2, cap)
-    v1, v2 = _reduced_node(start1), _reduced_node(start2)
-    closure1 = kappa_closure(v1, cap)
-    closure2 = kappa_closure(v2, cap)
-    # both closures preserve length, and a rotation that keeps the length is
-    # undone by rotating back, so each is a class: they meet iff they are equal
-    meeting = closure1.nodes[0]
-    if meeting == closure2.nodes[0]:
-        full1 = _path_certificate(u1, start1.parents, v1, cap).then(
-            _path_certificate(v1, closure1.parents, meeting, cap))
-        full2 = _path_certificate(u2, start2.parents, v2, cap).then(
-            _path_certificate(v2, closure2.parents, meeting, cap))
+    key = start1.words[0]
+    if key == start2.words[0]:
         return ConjugacyVerdict(
             ConjugacyStatus.CONJUGATE,
-            certificates=(full1, full2),
-            meeting=meeting,
+            certificates=(_path_certificate(start1, key, cap),
+                          _path_certificate(start2, key, cap)),
+            meeting=Element(matrix, key),
         )
 
-    for v in (v1, v2):
+    for v in (_reduced_node(start1), _reduced_node(start2)):
         if not is_finite_order(v, cap) and has_cent_prime(v, cap):
             return ConjugacyVerdict(
                 ConjugacyStatus.NOT_CONJUGATE,
@@ -498,6 +548,11 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                 basis=CompletenessBasis.BRUTE_FORCE,
             )
 
+    if _abelian_image(matrix, u1.word) != _abelian_image(matrix, u2.word):
+        return ConjugacyVerdict(
+            ConjugacyStatus.NOT_CONJUGATE,
+            basis=CompletenessBasis.ABELIAN_INVARIANT,
+        )
     return ConjugacyVerdict(ConjugacyStatus.UNKNOWN)
 
 

@@ -13,7 +13,10 @@ each walked through its full length by reference shifts; conjugation as two
 products; the cyclic-shift moves, closure search
 and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup w_I W_J w_I^-1, listed by enumerating every spherical
-W_I, one product at a time; the torsion scan that lists the spherical
+W_I, one product at a time; the closure record built eagerly, an element
+object per node; the conjugacy verdict that searches the closure of each
+cyclically reduced node too and certifies in two legs; the letter parities
+per odd-order component by fixpoint iteration; the torsion scan that lists the spherical
 subsets and conjugates a subset's generators afresh for every subset it
 tests, the descent closures grown by fixpoint over two-product conjugates,
 and their search conjugating afresh for every closure it grows; the
@@ -33,6 +36,9 @@ from coxkit import (
     DEFAULT_CAP,
     BraidStep,
     CancelStep,
+    CompletenessBasis,
+    ConjugacyStatus,
+    ConjugacyVerdict,
     CoxeterMatrix,
     Element,
     MoveCertificate,
@@ -42,10 +48,13 @@ from coxkit import (
     centralises,
     conjugate,
     enumerate_elements,
+    has_cent_prime,
     inverse,
     is_cyclically_reduced,
+    is_finite_order,
     is_reduced,
     is_spherical,
+    kappa_closure,
     left_descents,
     multiply,
     reduce_word,
@@ -53,7 +62,8 @@ from coxkit import (
     spherical_subsets,
     support,
 )
-from coxkit.core import _exchange, _reduce, _root_table
+from coxkit.conjugacy import _elementary_targets, _hop_certificate
+from coxkit.core import _exchange, _reduce, _root_table, _search
 from coxkit.errors import CapExceeded
 
 INF = math.inf
@@ -370,6 +380,92 @@ def reference_hop_certificate(prev, rho, k, target, cap=DEFAULT_CAP):
     assert landed == target
     steps.extend(reduction)
     return MoveCertificate(prev.word, tuple(steps), target.word)
+
+
+def reference_closure_record(u, cap=DEFAULT_CAP):
+    """The public attributes of u's closure record, built eagerly as the
+    engine built them before the record kept words: the same search, then
+    an element object per node, the element-keyed parent map, and the
+    minimal length and stratum."""
+    matrix = u.system
+    peak = 0
+
+    def moves(v):
+        nonlocal peak
+        targets, words = _elementary_targets(matrix, v, cap)
+        peak = max(peak, words)
+        return targets.items()
+
+    parents = {}
+    seen, _ = _search(u.word, moves, cap, "cyclic-shift closure", parents=parents)
+    element = {v: Element(matrix, v) for v in sorted(seen, key=lambda v: (len(v), v))}
+    nodes = tuple(element.values())
+    low = nodes[0].length
+    return {
+        "start": u,
+        "nodes": nodes,
+        "parents": {element[v]: (element[prev], rho, k)
+                    for v, (prev, (rho, k)) in parents.items()},
+        "min_length": low,
+        "min_stratum": tuple(v for v in nodes if v.length == low),
+        "length_preserved": low == u.length,
+        "peak": peak,
+    }
+
+
+def _reference_path_certificate(closure, target, cap):
+    hops = []
+    cur = target
+    while cur != closure.start:
+        prev, rho, k = closure.parents[cur]
+        hops.append((prev, rho, k, cur))
+        cur = prev
+    cert = MoveCertificate(closure.start.word, (), closure.start.word)
+    for prev, rho, k, nxt in reversed(hops):
+        cert = cert.then(_hop_certificate(prev, rho, k, nxt, cap))
+    return cert
+
+
+def reference_are_conjugate(u1, u2, cap=DEFAULT_CAP):
+    """The conjugacy verdict as the engine reached it when it searched two
+    closures per input: the start closure of each u_i, then the closure of
+    its cyclically reduced node v_i, meeting iff the least nodes of the v_i
+    closures are equal, with certificates u_i -> v_i over the start closure
+    then v_i -> meeting over v_i's closure; Cent' on v_1 and v_2; UNKNOWN
+    otherwise (no brute-force fallback, no abelianisation)."""
+    starts = [kappa_closure(u, cap) for u in (u1, u2)]
+    reduced = [s.start if s.length_preserved else s.min_stratum[0] for s in starts]
+    closures = [kappa_closure(v, cap) for v in reduced]
+    meeting = closures[0].nodes[0]
+    if meeting == closures[1].nodes[0]:
+        certificates = tuple(
+            _reference_path_certificate(start, v, cap).then(
+                _reference_path_certificate(closure, meeting, cap))
+            for start, v, closure in zip(starts, reduced, closures))
+        return ConjugacyVerdict(ConjugacyStatus.CONJUGATE, certificates=certificates,
+                                meeting=meeting)
+    for v in reduced:
+        if not is_finite_order(v, cap) and has_cent_prime(v, cap):
+            return ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
+                                    basis=CompletenessBasis.CENT_PRIME_INFINITE_ORDER)
+    return ConjugacyVerdict(ConjugacyStatus.UNKNOWN)
+
+
+def reference_abelian_image(matrix, word):
+    """The letter parities per component of the graph of odd orders
+    m(s, t), components ordered by least member, found by fixpoint
+    iteration."""
+    label = list(range(matrix.rank))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in itertools.combinations(range(matrix.rank), 2):
+            m = matrix.m(i, j)
+            if m != INF and m % 2 == 1 and label[i] != label[j]:
+                label[i] = label[j] = min(label[i], label[j])
+                changed = True
+    return tuple(sum(label[letter] == c for letter in word) % 2
+                 for c in sorted(set(label)))
 
 
 @lru_cache(maxsize=None)

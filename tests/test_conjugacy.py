@@ -8,6 +8,7 @@ import helpers
 from coxkit import (
     CompletenessBasis,
     ConjugacyStatus,
+    ConjugacyVerdict,
     TriState,
     are_conjugate,
     braid_class,
@@ -32,7 +33,7 @@ from coxkit import (
     rotations,
     spherical_subsets,
 )
-from coxkit.conjugacy import MoveCertificate, _elementary_targets
+from coxkit.conjugacy import MoveCertificate, _elementary_targets, _reduced_node
 from coxkit.core import DEFAULT_CAP, BraidStep, CoxeterMatrix, RotateStep
 from coxkit.errors import CapExceeded, ReplayError
 from coxkit.straight import NonTorsionFreeMember
@@ -203,6 +204,20 @@ class TestKappaClosure:
             closure.parents[a2t.identity()] = None
         with pytest.raises(AttributeError):
             closure.nodes = ()
+
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+    def test_element_views_match_the_eager_record(self, matrix):
+        # the record keeps words and builds its element views on first read;
+        # on fresh systems they equal a record built eagerly from the search
+        lazy, eager = (CoxeterMatrix(matrix.names, matrix.table) for _ in range(2))
+        for u in enumerate_elements(lazy, 5):
+            closure = kappa_closure(u)
+            assert not {"nodes", "min_stratum", "parents"} & vars(closure).keys(), u
+            expected = helpers.reference_closure_record(eager.element(u.word))
+            for name in ("min_stratum", "parents", "nodes", "min_length",
+                         "length_preserved", "peak", "start"):
+                assert getattr(closure, name) == expected[name], (u, name)
+            assert closure.words == tuple(v.word for v in closure.nodes)
 
 
 class TestCyclicReducedness:
@@ -446,6 +461,53 @@ class TestConjugacy:
             if meet:
                 assert are_conjugate(u1, u2).meeting == closure1.nodes[0], (u1, u2)
         assert len(elements) < met < len(elements) ** 2
+
+    @pytest.mark.parametrize("matrix, max_len", [
+        (helpers.A3, 4), (helpers.B3, 4), (helpers.A2T, 4), (helpers.B2T, 4),
+        (helpers.G2T, 4), (helpers.T237, 4), (helpers.DINF_A2, 4), (helpers.U3, 3),
+    ], ids=["A3", "B3", "A2~", "B2~", "G2~", "(2,3,7)", "DinfxA2", "U3"])
+    def test_matches_the_two_closure_reference(self, matrix, max_len):
+        # the verdict from the start closures alone against the flow that
+        # also searched the closure of each cyclically reduced node: equal
+        # status, meeting, certificates and basis on every pair, but for an
+        # UNKNOWN pair that the abelianisation separates
+        elements = enumerate_elements(matrix, max_len)
+        for u1, u2 in itertools.product(elements, repeat=2):
+            verdict, expected = are_conjugate(u1, u2), helpers.reference_are_conjugate(u1, u2)
+            if expected.status is ConjugacyStatus.UNKNOWN and (
+                    helpers.reference_abelian_image(matrix, u1.word)
+                    != helpers.reference_abelian_image(matrix, u2.word)):
+                expected = ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
+                                            basis=CompletenessBasis.ABELIAN_INVARIANT)
+            assert verdict == expected, (u1, u2)
+
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+    def test_key_is_the_least_node_of_the_reduced_closure(self, matrix):
+        # the least node of the start closure's minimal stratum is the least
+        # node of the cyclically reduced node's closure
+        for u in enumerate_elements(matrix, 6):
+            closure = kappa_closure(u)
+            assert closure.min_stratum[0] == kappa_closure(_reduced_node(closure)).nodes[0], u
+
+    def test_verdict_builds_no_element_views(self, a2t):
+        # the verdict reads the start closures' words only
+        fresh = CoxeterMatrix(a2t.names, a2t.table)
+        for pair in (("tustuts", "stsustu"), ("stu", "uts"), ("sts", "tst")):
+            u1, u2 = (fresh.element(text) for text in pair)
+            are_conjugate(u1, u2)
+            for u in (u1, u2):
+                assert not {"nodes", "min_stratum", "parents"} & vars(kappa_closure(u)).keys()
+
+    @pytest.mark.parametrize("matrix, pair", [(helpers.A2T, ("-", "s")),
+                                              (helpers.DINF_A2, ("s", "a")),
+                                              (helpers.B3, ("s1", "s2"))],
+                             ids=["A2~", "DinfxA2", "B3"])
+    def test_abelianisation_refutes(self, matrix, pair):
+        # the letter parities per odd-order component differ, so no Cent'
+        # and no enumeration is needed to refute
+        verdict = are_conjugate(*(matrix.element(text) for text in pair))
+        assert verdict.status is ConjugacyStatus.NOT_CONJUGATE
+        assert verdict.basis is CompletenessBasis.ABELIAN_INVARIANT
 
 
 class TestFiniteOrder:
