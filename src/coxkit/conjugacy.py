@@ -491,6 +491,18 @@ def _abelian_image(matrix: CoxeterMatrix, word: Word) -> tuple:
     return tuple(image)
 
 
+def _meeting_at(start1: KappaClosure, start2: KappaClosure, word: Word,
+                cap: int) -> ConjugacyVerdict:
+    """CONJUGATE, meeting at the shared node ``word`` of the two closures,
+    with a certificate from each start to it."""
+    return ConjugacyVerdict(
+        ConjugacyStatus.CONJUGATE,
+        certificates=(_path_certificate(start1, word, cap),
+                      _path_certificate(start2, word, cap)),
+        meeting=Element(start1.start.system, word),
+    )
+
+
 def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                   brute_force: bool = False, brute_len_cap: int = 16) -> ConjugacyVerdict:
     """Decide conjugacy through minimal strata of the move closures.
@@ -503,15 +515,20 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
     length-preserving start closure has v = u and is v's closure.  Either
     way the key is the least node of v's closure, and v's closure, which
     preserves length, is a class: a rotation that keeps the length is
-    undone by rotating back.  So the minimal strata of u1 and u2 meet iff
-    their keys are equal.  Then the pair is CONJUGATE, meeting at the key,
-    with a certificate from each input to it over its start closure.
+    undone by rotating back.  The closures of v1 and v2 meet iff their keys
+    are equal; then the pair is CONJUGATE, meeting at the key, with a
+    certificate from each input to it over its start closure.  A shortening
+    start closure's minimal stratum may hold other classes besides v's (in
+    A3, s1 s2 s1 reaches both s1 and s2), so the start closures can share a
+    node while the keys differ.
 
-    Disjoint strata prove non-conjugacy under the completeness hypotheses
+    Different keys prove non-conjugacy under the completeness hypotheses
     (infinite order plus the centralising property, on either cyclically
     reduced node), or through the brute-force fallback when it can
-    enumerate the whole group, or when the images in the abelianisation
-    differ (:func:`_abelian_image`); otherwise the verdict is UNKNOWN.
+    enumerate the whole group.  Otherwise start closures that share a node
+    give CONJUGATE, meeting at the least shared node, and images in the
+    abelianisation that differ (:func:`_abelian_image`) give NOT_CONJUGATE;
+    the verdict is UNKNOWN when neither holds.
     """
     if u1.system != u2.system:
         raise ValueError("elements live in different Coxeter systems")
@@ -522,12 +539,7 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
     start1, start2 = kappa_closure(u1, cap), kappa_closure(u2, cap)
     key = start1.words[0]
     if key == start2.words[0]:
-        return ConjugacyVerdict(
-            ConjugacyStatus.CONJUGATE,
-            certificates=(_path_certificate(start1, key, cap),
-                          _path_certificate(start2, key, cap)),
-            meeting=Element(matrix, key),
-        )
+        return _meeting_at(start1, start2, key, cap)
 
     for v in (_reduced_node(start1), _reduced_node(start2)):
         if not is_finite_order(v, cap) and has_cent_prime(v, cap):
@@ -547,6 +559,10 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                 ConjugacyStatus.NOT_CONJUGATE,
                 basis=CompletenessBasis.BRUTE_FORCE,
             )
+
+    shared = set(start2.words).intersection(start1.words)
+    if shared:
+        return _meeting_at(start1, start2, min(shared, key=lambda v: (len(v), v)), cap)
 
     if _abelian_image(matrix, u1.word) != _abelian_image(matrix, u2.word):
         return ConjugacyVerdict(

@@ -379,35 +379,18 @@ def _exchange(act: dict, word, s: int) -> Optional[int]:
     return None
 
 
-def _reduce(act: dict, word: Word, prefix: Word = b"") -> Word:
-    """A reduced word for ``prefix + word``, for a reduced ``prefix``, by the
-    inlined exchange walk, deleting or appending each letter; a reduced prefix
-    is appended unchanged, so the walk resumes after it.  Faster than
-    :func:`_normal_form`, so the length-only callers use this."""
-    out = bytearray(prefix)
-    for s in word:
-        beta = s
-        for i in range(len(out) - 1, -1, -1):
-            beta = act[beta][out[i]]
-            if beta < 0:
-                break
-        if beta == NEG:
-            del out[i]
-        else:
-            out.append(s)
-    return bytes(out)
-
-
 def _normal_form(act: dict, word: Word, prefix: Word = b"") -> Word:
     """The normal form (shortlex-least reduced word) of ``prefix + word``,
     for ``prefix`` itself a normal form: by (1) below every letter of it
     would stay where it is, so the walk resumes after it.
 
-    :func:`_reduce`, except that a letter s with no exchange position is not
-    appended: t is inserted before ``out[k]`` for the least k at which the
-    walk, just after ``out[k]``, holds the simple root of some t < ``out[k]``
-    (simple roots are the indices below the rank; the negative sentinels
-    pass the same test).  Why, for NF(v) = a_1...a_n:
+    Each letter s is walked back through ``out`` by the exchange walk.  When
+    the walk reaches ``NEG`` at position i, letter i is deleted.  Otherwise
+    s has no exchange position, and t is inserted before ``out[k]`` for the
+    least k at which the walk, just after ``out[k]``, holds the simple root
+    of some t < ``out[k]`` (simple roots are the indices below the rank; the
+    negative sentinels pass the same test), or s is appended if there is no
+    such k.  Why, for NF(v) = a_1...a_n:
 
     1. every factor of a normal form is a normal form;
     2. if l(vs) > l(v), D_L(vs) = D_L(v) + {t}, t existing iff v s v^-1 = t
@@ -415,13 +398,14 @@ def _normal_form(act: dict, word: Word, prefix: Word = b"") -> Word:
     3. so by (1), (2) and induction, NF(vs) = a_1...a_k t a_(k+1)...a_n for
        the least k with v_k s v_k^-1 = t < a_(k+1), v_k = a_(k+1)...a_n,
        and k = n (append s) if there is none;
-    4. the walk holds v_k(a_s) just after a_(k+1), and stops where _reduce's
-       does: a root b = x(a_s) (x the letters walked) that reached
-       ``NONMIN`` never becomes simple.  Else b dominates a positive root
-       c != b, and u(b) = a_t for the letters u still to walk.  By
-       W-invariance a_s dominates x^-1(c), so x^-1(c) < 0, as a simple
-       root dominates no other positive root; c is a left inversion of x
-       and u x is reduced, so u(c) > 0, and a_t cannot dominate u(c) != a_t;
+    4. the walk holds v_k(a_s) just after a_(k+1), and may stop at the first
+       negative sentinel: a root b = x(a_s) (x the letters walked) that
+       reached ``NONMIN`` never becomes simple.  Else b dominates a
+       positive root c != b, and u(b) = a_t for the letters u still to
+       walk.  By W-invariance a_s dominates x^-1(c), so x^-1(c) < 0, as a
+       simple root dominates no other positive root; c is a left inversion
+       of x and u x is reduced, so u(c) > 0, and a_t cannot dominate
+       u(c) != a_t;
     5. if l(vs) < l(v), the exchange position i is unique, and (3) applied
        to (vs)s gives NF(vs) = NF(v) minus letter i.
     """
@@ -443,9 +427,10 @@ def _normal_form(act: dict, word: Word, prefix: Word = b"") -> Word:
 
 
 def is_reduced(matrix: CoxeterMatrix, word: WordLike) -> bool:
-    """Decide reducedness: no letter is deleted while reducing the word."""
+    """Decide reducedness: no letter is deleted while the normal form of the
+    word is built."""
     word = matrix.word(word)
-    return len(_reduce(_root_table(matrix), word)) == len(word)
+    return len(_normal_form(_root_table(matrix), word)) == len(word)
 
 
 def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> frozenset:

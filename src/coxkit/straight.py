@@ -9,7 +9,8 @@ length-preserving closure has that same closure, so the verdict is decided
 once per such class and memoised under all of its nodes.  The power-length
 profile is kept as a cross-check only: no bound is known on the exponent
 needed to expose a defect, so it is never used as a decision procedure; it
-reduces words and builds no normal forms.
+reduces words, builds no normal forms, and stops walking once a copy of w
+provably repeats the copy before it.
 
 The fully commutative (FC) shortcut: an element whose reduced words form a
 single commutation class is FC; it is CFC when additionally every closure
@@ -31,7 +32,6 @@ from .core import (
     support,
     _braid_moves,
     _braid_orbit,
-    _reduce,
     _root_table,
 )
 from .conjugacy import (
@@ -41,6 +41,7 @@ from .conjugacy import (
     kappa_closure,
 )
 from .errors import NotCFC
+from .roots import NEG, NONMIN
 from . import parabolic
 
 
@@ -80,19 +81,57 @@ class StraightnessVerdict:
 def power_length_profile(w: Element, n_max: int) -> tuple:
     """Exact lengths l(w^1), ..., l(w^n_max); they may oscillate for torsion.
 
-    Only lengths are needed, so each power is kept as a reduced word, the
-    previous one with the word of w appended; the reduction resumes after
-    that reduced prefix, so the profile appends n * l(w) letters in all,
-    not n(n+1)/2 * l(w).  No normal form is built.
+    Only lengths are needed, so each power is kept as a reduced word: w^1 is
+    the canonical word of w, and each further copy of that word is appended
+    letter by letter, by the exchange walk, deleting the letter at its
+    exchange position or appending it.  No normal form is built.
+
+    The walk stops as soon as one copy provably repeats the copy before it.
+    Let ``floor`` be where the unbroken run of whole copies just before the
+    current one starts: 0 for w^1, which counts as whole, and the end of
+    the last copy that lost a letter otherwise.  Suppose the current copy c
+    loses no letter and the walk of each of its letters stops at ``NONMIN``
+    at or after ``floor`` (a walk that runs off the start does not).
+    Letter j of copy c+1 walks back over copy c+1's first j-1 letters,
+    appended whole by induction on j, and then over copy c and the copies
+    of the run, each of them the word of w: the same letters, in the same
+    order, that letter j of copy c read before it stopped.  So copy c+1
+    stops at the same places, one copy further on, loses no letter and
+    stays inside a run one copy longer, and by induction every later copy
+    is appended whole: l(w^(n+1)) = l(w^n) + l(w) from there on.  No bound
+    on the depth of a walk is assumed; the rule fires only when the walks
+    recorded show that it may.  A copy that loses a letter moves ``floor``
+    past itself, so a profile that falls back or grows unevenly (torsion;
+    A2~ ``tustuts``, 7, 12, 19, 24, ...) walks every power.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     act = _root_table(w.system)
-    out = []
-    acc = b""
-    for _ in range(n_max):
-        acc = _reduce(act, w.word, acc)
+    word = w.word
+    acc = bytearray(word)
+    out = [len(acc)]
+    floor = 0
+    while len(out) < n_max:
+        whole = inside = True
+        for s in word:
+            beta = s
+            for i in range(len(acc) - 1, -1, -1):
+                beta = act[beta][acc[i]]
+                if beta < 0:
+                    break
+            if beta == NEG:
+                del acc[i]
+                whole = False
+            else:
+                acc.append(s)
+                if beta != NONMIN or i < floor:
+                    inside = False
         out.append(len(acc))
+        if not whole:
+            floor = len(acc)
+        elif inside:
+            out.extend(len(acc) + k * len(word) for k in range(1, n_max - len(out) + 1))
+            break
     return tuple(out)
 
 
@@ -100,7 +139,10 @@ def find_power_defect(w: Element, n_max: int = 10) -> Optional[PowerDefect]:
     """First exponent up to n_max with l(w^n) < n l(w), if any.
 
     A defect disproves straightness; absence proves nothing, so this is a
-    cross-check, not a decision procedure.
+    cross-check, not a decision procedure.  A profile that stops walking
+    because a copy of w repeats proves l(w^n) = n l(w) for every n; but no
+    bound is known on how many powers that takes, so ``n_max`` stays the
+    caller's cutoff.
     """
     for n, length in enumerate(power_length_profile(w, n_max), start=1):
         if length < n * w.length:

@@ -63,8 +63,9 @@ from coxkit import (
     support,
 )
 from coxkit.conjugacy import _elementary_targets, _hop_certificate
-from coxkit.core import _exchange, _reduce, _root_table, _search
+from coxkit.core import _exchange, _root_table, _search
 from coxkit.errors import CapExceeded
+from coxkit.roots import NEG
 
 INF = math.inf
 
@@ -258,6 +259,24 @@ def reference_braid_word_path(matrix, source, target, cap=DEFAULT_CAP):
 
 # ---------------------------------------------------------------------------
 # reference normal forms
+
+
+def _reduce(act, word):
+    """A reduced word for ``word``, by the exchange walk of each letter
+    against the letters kept before it: delete the letter at the exchange
+    position, or append the new one.  Lengths only, no normal form."""
+    out = bytearray()
+    for s in word:
+        beta = s
+        for i in range(len(out) - 1, -1, -1):
+            beta = act[beta][out[i]]
+            if beta < 0:
+                break
+        if beta == NEG:
+            del out[i]
+        else:
+            out.append(s)
+    return bytes(out)
 
 
 def _shortlex(matrix, act, word):

@@ -470,15 +470,25 @@ class TestConjugacy:
         # the verdict from the start closures alone against the flow that
         # also searched the closure of each cyclically reduced node: equal
         # status, meeting, certificates and basis on every pair, but for an
-        # UNKNOWN pair that the abelianisation separates
+        # UNKNOWN pair whose start closures share a node (CONJUGATE at the
+        # least shared node) or that the abelianisation separates
         elements = enumerate_elements(matrix, max_len)
         for u1, u2 in itertools.product(elements, repeat=2):
             verdict, expected = are_conjugate(u1, u2), helpers.reference_are_conjugate(u1, u2)
-            if expected.status is ConjugacyStatus.UNKNOWN and (
-                    helpers.reference_abelian_image(matrix, u1.word)
-                    != helpers.reference_abelian_image(matrix, u2.word)):
-                expected = ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
-                                            basis=CompletenessBasis.ABELIAN_INVARIANT)
+            if expected.status is ConjugacyStatus.UNKNOWN:
+                start1, start2 = kappa_closure(u1), kappa_closure(u2)
+                shared = set(start1.nodes) & set(start2.nodes)
+                if shared:
+                    meeting = min(shared)
+                    certificates = tuple(
+                        helpers._reference_path_certificate(start, meeting, DEFAULT_CAP)
+                        for start in (start1, start2))
+                    expected = ConjugacyVerdict(ConjugacyStatus.CONJUGATE, meeting=meeting,
+                                                certificates=certificates)
+                elif (helpers.reference_abelian_image(matrix, u1.word)
+                      != helpers.reference_abelian_image(matrix, u2.word)):
+                    expected = ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
+                                                basis=CompletenessBasis.ABELIAN_INVARIANT)
             assert verdict == expected, (u1, u2)
 
     @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))

@@ -17,6 +17,7 @@ from coxkit import (
     is_cyclically_reduced,
     is_fc,
     is_fc_definitional,
+    is_spherical,
     is_straight,
     is_torsion_free,
     kappa_closure,
@@ -28,6 +29,7 @@ from coxkit import (
     support,
 )
 from coxkit import parabolic
+from coxkit.core import _root_table
 from coxkit.straight import NonTorsionFreeMember, PowerDefect, ShorterConjugate
 from coxkit.errors import CapExceeded, NotCFC
 
@@ -41,6 +43,16 @@ def _sws(a2t):
 def _fresh(matrix):
     """A copy of the system with empty memos."""
     return CoxeterMatrix(matrix.names, matrix.table)
+
+
+class _CountingRows(dict):
+    """A root table that counts the rows read from it."""
+
+    count = 0
+
+    def __getitem__(self, root):
+        self.count += 1
+        return super().__getitem__(root)
 
 
 def _straightness(w, cap=DEFAULT_CAP):
@@ -65,8 +77,10 @@ class TestPowerLengthProfile:
         assert power_length_profile(stu, 40) == helpers.reference_power_length_profile(stu, 40)
 
     def test_worked_example_square_defect(self, a2t):
-        profile = power_length_profile(a2t.element("tustuts"), 2)
+        # every other copy loses two letters, so the walk never stops early
+        profile = power_length_profile(a2t.element("tustuts"), 12)
         assert profile[1] == 12 != 14
+        assert profile == (7, 12, 19, 24, 31, 36, 43, 48, 55, 60, 67, 72)
 
     def test_rejects_nonpositive(self, a2t):
         for n_max in (0, -1):
@@ -76,18 +90,37 @@ class TestPowerLengthProfile:
     def test_finite_order_profile_oscillates(self, b3):
         assert power_length_profile(b3.element("s1 s2"), 4) == (2, 4, 2, 0)
 
-    @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A2T", "G2T", "U3"])
-    def test_matches_normal_form_products(self, name):
-        matrix = _fresh(getattr(helpers, name))
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
+    def test_matches_normal_form_products(self, matrix):
+        matrix = _fresh(matrix)
         oscillating = 0
         for e in enumerate_elements(matrix, 6):
-            profile = power_length_profile(e, 8)
-            assert profile == helpers.reference_power_length_profile(e, 8), str(e)
-            assert power_length_profile(e, 1) == (e.length,)
-            oscillating += any(a > b for a, b in zip(profile, profile[1:]))
-        if name in ("A3", "B3", "H3"):
+            expected = helpers.reference_power_length_profile(e, 20)
+            for n in (1, 2, 3, 7, 8, 20):
+                assert power_length_profile(e, n) == expected[:n], (str(e), n)
+            oscillating += any(a > b for a, b in zip(expected, expected[1:]))
+        if is_spherical(matrix, range(matrix.rank)):
             # the finite groups' sweeps meet profiles that fall back
             assert oscillating
+
+    @pytest.mark.parametrize("name, max_len", [("A2T", 8), ("G2T", 8), ("T237", 8), ("A3T", 7)],
+                             ids=["A2~", "G2~", "(2,3,7)", "A3~"])
+    def test_work_is_bounded_once_a_copy_repeats(self, name, max_len):
+        # the walk reads as many table rows for a thousand powers as for
+        # ten, on every straight element that the straight-sweep benchmark
+        # profiles (A2~ stu among them)
+        matrix = _fresh(getattr(helpers, name))
+        elements = [e for e in enumerate_elements(matrix, max_len)
+                    if e.length and is_cyclically_reduced(e) and is_straight(e).straight]
+        reads = matrix._scratch["roots"] = _CountingRows(_root_table(matrix))
+        for e in elements:
+            counts = []
+            for n in (10, 1000):
+                reads.count = 0
+                power_length_profile(e, n)
+                counts.append(reads.count)
+            assert counts[0] == counts[1], (str(e), counts)
+        assert len(elements) == {"A2T": 24, "G2T": 16, "T237": 24, "A3T": 50}[name]
 
 
 class TestPowerDefect:
