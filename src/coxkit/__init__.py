@@ -21,13 +21,11 @@ from .core import (
     braid_class,
     braid_word_path,
     canonical_word,
-    commutation_class,
     conjugate,
     inverse,
     is_reduced,
     left_descents,
     multiply,
-    new_system,
     power,
     reduce_word,
     reduce_word_with_path,
@@ -40,25 +38,20 @@ from .conjugacy import (
     ConjugacyVerdict,
     KappaClosure,
     MoveCertificate,
-    TriState,
     are_conjugate,
     cyclic_reduce,
-    elementary_related,
     format_step,
     has_cent_prime,
     is_cyclically_reduced,
     is_finite_order,
-    is_min_in_conjugacy_class,
     kappa_closure,
     parse_step,
-    rotations,
 )
 from .parabolic import (
     GeneratorSubset,
     NormaliserDecomposition,
     centralises,
     diagram_components,
-    element_of_parabolic,
     generator_subset,
     is_spherical,
     is_torsion_free,
@@ -66,22 +59,17 @@ from .parabolic import (
     normaliser_decomposition,
     normalises,
     only_infinite_irreducible_components,
-    spherical_subsets,
     standard_parabolic_closure,
     torsion_witness,
 )
 from .straight import (
     NonTorsionFreeMember,
-    PowerDefect,
     ShorterConjugate,
     StraightnessVerdict,
     cfc_straight,
     coxeter_straight,
-    find_power_defect,
     is_cfc,
-    is_coxeter_element,
     is_fc,
-    is_fc_definitional,
     is_straight,
     power_length_profile,
 )
@@ -94,7 +82,6 @@ from .oracle import (
     geometric_rep,
     is_reduced_oracle,
     order_bruteforce,
-    whole_group,
 )
 from . import errors
 

@@ -168,7 +168,8 @@ def _cert_lines(matrix, cert) -> list:
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns an exit code.  The three shared handlers print
-# what the command's table entry computes: a verdict, a word or a word list.
+# what the command's table entry computes: a verdict or a length, a word or a
+# word list.
 
 
 def cmd_verdict(matrix, args, out):
@@ -186,12 +187,6 @@ def cmd_word(matrix, args, out):
 def cmd_words(matrix, args, out):
     words = [matrix.word_str(e.word) for e in args.compute(matrix, args)]
     out.result(words, *words)
-    return EXIT_OK
-
-
-def cmd_length(matrix, args, out):
-    length = matrix.element(args.word).length
-    out.result(length, length)
     return EXIT_OK
 
 
@@ -372,7 +367,8 @@ COMMANDS = [
      lambda m, a: m.element(a.word)),
     ("canonical", "cmd_word", "canonical (shortlex-least reduced) word", WORDS,
      lambda m, a: m.element(a.word)),
-    ("length", "cmd_length", "length of the element a word spells", WORDS),
+    ("length", "cmd_verdict", "length of the element a word spells", WORDS,
+     lambda m, a: m.element(a.word).length),
     ("is-reduced", "cmd_verdict", "decide reducedness of a word", WORDS,
      lambda m, a: core.is_reduced(m, a.word)),
     ("inverse", "cmd_word", "canonical word of the inverse", WORDS,

@@ -49,14 +49,6 @@ from .errors import InvariantViolation, ReplayError
 from . import oracle, parabolic
 
 
-def rotations(word: Word) -> list:
-    """All cyclic rotations of a word, by one letter up to the full length."""
-    n = len(word)
-    if n == 0:
-        return [word]
-    return [word[k:] + word[:k] for k in range(1, n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -154,14 +146,6 @@ def _elementary_targets(matrix: CoxeterMatrix, word: Word, cap: int = DEFAULT_CA
     return hit
 
 
-def elementary_related(u: Element, cap: int = DEFAULT_CAP) -> frozenset:
-    """Elements spelled by rotations of reduced words of u (includes u)."""
-    if u.is_identity():
-        return frozenset({u})
-    return frozenset(Element(u.system, target)
-                     for target in _elementary_targets(u.system, u.word, cap)[0])
-
-
 @dataclass(frozen=True)
 class KappaClosure:
     """The reachable set under braid moves, cyclic shifts and cancellations.
@@ -171,11 +155,11 @@ class KappaClosure:
     that first reached the node v in the search: v is spelled by rotating
     the reduced word rho of previous by k letters.  ``peak`` is the largest
     braid class among the nodes.  The element views ``nodes`` and
-    ``min_stratum`` (canonically ordered) and ``parents[v] = (previous, rho,
-    k)``, keyed by elements, are built from the words on first read and
-    cached, so a caller that reads only words builds no element object.  The
-    record is read-only; two records are equal iff their starts and nodes
-    are, and ``word_parents`` and ``peak`` take no part in comparison.
+    ``min_stratum`` (canonically ordered) are built from the words on first
+    read and cached, so a caller that reads only words builds no element
+    object.  The record is read-only; two records are equal iff their starts
+    and nodes are, and ``word_parents`` and ``peak`` take no part in
+    comparison.
     """
 
     start: Element
@@ -200,12 +184,6 @@ class KappaClosure:
     def min_stratum(self) -> tuple:
         low = self.min_length
         return tuple(v for v in self.nodes if v.length == low)
-
-    @cached_property
-    def parents(self) -> MappingProxyType:
-        element = dict(zip(self.words, self.nodes))
-        return MappingProxyType({element[v]: (element[prev], rho, k)
-                                 for v, (prev, (rho, k)) in self.word_parents.items()})
 
 
 def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
@@ -477,69 +455,56 @@ def _abelian_image(matrix: CoxeterMatrix, word: Word) -> tuple:
     ordered by least member.  Generators joined by an odd order are
     conjugate, and every relation keeps these parities, so conjugates have
     equal images."""
-    remaining = set(range(matrix.rank))
-
-    def odd_neighbours(i):
-        orders = matrix.table[i]
-        return ((j, None) for j in remaining if orders[j] != INFINITY and orders[j] % 2)
-
-    image = []
-    while remaining:
-        comp, _ = _search(min(remaining), odd_neighbours, INFINITY, "odd-order graph search")
-        image.append(sum(letter in comp for letter in word) % 2)
-        remaining -= comp
-    return tuple(image)
-
-
-def _meeting_at(start1: KappaClosure, start2: KappaClosure, word: Word,
-                cap: int) -> ConjugacyVerdict:
-    """CONJUGATE, meeting at the shared node ``word`` of the two closures,
-    with a certificate from each start to it."""
-    return ConjugacyVerdict(
-        ConjugacyStatus.CONJUGATE,
-        certificates=(_path_certificate(start1, word, cap),
-                      _path_certificate(start2, word, cap)),
-        meeting=Element(start1.start.system, word),
-    )
+    components = parabolic._components(
+        matrix, range(matrix.rank), lambda m: m != INFINITY and m % 2)
+    return tuple(sum(letter in comp for letter in word) % 2 for comp in components)
 
 
 def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                   brute_force: bool = False, brute_len_cap: int = 16) -> ConjugacyVerdict:
     """Decide conjugacy through minimal strata of the move closures.
 
-    The verdict reads only the start closures, of u1 and of u2.  The key of
-    u is the least node of its start closure's minimal stratum.  A
-    shortening start closure has that node as its cyclically reduced node
-    v (:func:`cyclic_reduce`); v's closure is reachable from u and never
-    gains length, so it lies in that stratum, and its least node is v.  A
-    length-preserving start closure has v = u and is v's closure.  Either
-    way the key is the least node of v's closure, and v's closure, which
-    preserves length, is a class: a rotation that keeps the length is
-    undone by rotating back.  The closures of v1 and v2 meet iff their keys
-    are equal; then the pair is CONJUGATE, meeting at the key, with a
-    certificate from each input to it over its start closure.  A shortening
-    start closure's minimal stratum may hold other classes besides v's (in
-    A3, s1 s2 s1 reaches both s1 and s2), so the start closures can share a
-    node while the keys differ.
+    The verdict reads only the start closures, of u1 and of u2.  Start
+    closures that share a node give CONJUGATE, meeting at the least shared
+    node, with a certificate from each input to it over its start closure.
 
-    Different keys prove non-conjugacy under the completeness hypotheses
-    (infinite order plus the centralising property, on either cyclically
-    reduced node), or through the brute-force fallback when it can
-    enumerate the whole group.  Otherwise start closures that share a node
-    give CONJUGATE, meeting at the least shared node, and images in the
-    abelianisation that differ (:func:`_abelian_image`) give NOT_CONJUGATE;
-    the verdict is UNKNOWN when neither holds.
+    Otherwise their keys differ (equal keys are a shared node), the key of
+    u being the least node of its start closure's minimal stratum.  A shortening start closure has that
+    node as its cyclically reduced node v (:func:`cyclic_reduce`); v's
+    closure is reachable from u and never gains length, so it lies in that
+    stratum, and its least node is v.  A length-preserving start closure
+    has v = u and is v's closure.  Either way the key is the least node of
+    v's closure, and v's closure, which preserves length, is a class: a
+    rotation that keeps the length is undone by rotating back.  So the
+    closures of v1 and v2 do not meet.  (Comparing keys alone would miss
+    some shared nodes: a shortening start closure's minimal stratum may
+    hold other classes besides v's; in A3, s1 s2 s1 reaches both s1 and s2,
+    so start closures can share a node while the keys differ.)
+
+    Disjoint closures of v1 and v2 prove non-conjugacy under the
+    completeness hypotheses (infinite order plus the centralising property,
+    on either cyclically reduced node), or through the brute-force fallback
+    when it can enumerate the whole group.  Otherwise images in the
+    abelianisation that differ (:func:`_abelian_image`) give NOT_CONJUGATE,
+    and the verdict is UNKNOWN.
     """
     if u1.system != u2.system:
         raise ValueError("elements live in different Coxeter systems")
     matrix = u1.system
 
     # certificates are built only for a CONJUGATE verdict, the one that
-    # carries them
+    # carries them; the words are in canonical order, so the first shared
+    # one is the least
     start1, start2 = kappa_closure(u1, cap), kappa_closure(u2, cap)
-    key = start1.words[0]
-    if key == start2.words[0]:
-        return _meeting_at(start1, start2, key, cap)
+    nodes2 = set(start2.words)
+    meeting = next((v for v in start1.words if v in nodes2), None)
+    if meeting is not None:
+        return ConjugacyVerdict(
+            ConjugacyStatus.CONJUGATE,
+            certificates=(_path_certificate(start1, meeting, cap),
+                          _path_certificate(start2, meeting, cap)),
+            meeting=Element(matrix, meeting),
+        )
 
     for v in (_reduced_node(start1), _reduced_node(start2)):
         if not is_finite_order(v, cap) and has_cent_prime(v, cap):
@@ -560,10 +525,6 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                 basis=CompletenessBasis.BRUTE_FORCE,
             )
 
-    shared = set(start2.words).intersection(start1.words)
-    if shared:
-        return _meeting_at(start1, start2, min(shared, key=lambda v: (len(v), v)), cap)
-
     if _abelian_image(matrix, u1.word) != _abelian_image(matrix, u2.word):
         return ConjugacyVerdict(
             ConjugacyStatus.NOT_CONJUGATE,
@@ -571,23 +532,3 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
         )
     return ConjugacyVerdict(ConjugacyStatus.UNKNOWN)
 
-
-# ---------------------------------------------------------------------------
-# minimality
-
-
-class TriState(Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
-
-
-def is_min_in_conjugacy_class(w: Element, cap: int = DEFAULT_CAP) -> TriState:
-    """Minimal length in the conjugacy class: certain when the closure
-    shortens (NO), or when w is cyclically reduced with finite order or the
-    centralising property (YES); UNKNOWN otherwise."""
-    if not kappa_closure(w, cap).length_preserved:
-        return TriState.NO
-    if is_finite_order(w, cap) or has_cent_prime(w, cap):
-        return TriState.YES
-    return TriState.UNKNOWN

@@ -230,11 +230,6 @@ class CoxeterMatrix:
         return reduce_word(self, self.word(word))
 
 
-def new_system(names: Sequence[str], entries: Sequence[Sequence]) -> CoxeterMatrix:
-    """Validate and build an immutable system descriptor from a full table."""
-    return CoxeterMatrix(names, entries)
-
-
 # ---------------------------------------------------------------------------
 # word moves
 
@@ -437,23 +432,14 @@ def braid_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -
     """The set of words reachable from a reduced word by braid moves.
 
     By Tits' theorem this is exactly the set of reduced words of the element.
-    It is searched on every call and not memoised: its one caller in the
-    package, ``straight.is_fc_definitional``, compares it once with the
-    commutation class.
+    It is searched on every call and not memoised.  No decision path calls
+    it: the rotation targets and ``is_fc`` search the braid-move orbit
+    themselves, with their own stops.
     """
     word = matrix.word(word)
     seen, repeat = _braid_orbit(matrix, word, cap, stop=_has_repeat)
     if repeat is not None:
         raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
-    return frozenset(seen)
-
-
-def commutation_class(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP) -> frozenset:
-    """Orbit of a reduced word under commutation moves only (pairs with m = 2)."""
-    word = matrix.word(word)
-    if not is_reduced(matrix, word):
-        raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
-    seen, _ = _braid_orbit(matrix, word, cap, commutations_only=True)
     return frozenset(seen)
 
 

@@ -110,7 +110,7 @@ def is_reduced_oracle(matrix: CoxeterMatrix, word: WordLike, *,
 
 
 def enumerate_elements(matrix: CoxeterMatrix, max_len: Optional[int], *,
-                       cap: int = DEFAULT_CAP, letters=None) -> tuple:
+                       cap: int = DEFAULT_CAP) -> tuple:
     """All elements of length <= max_len, canonically ordered.
 
     Breadth-first left multiplication by generators: y = g*x is kept only
@@ -122,11 +122,8 @@ def enumerate_elements(matrix: CoxeterMatrix, max_len: Optional[int], *,
     reversed words, whose right descents are the left ones.
     ``max_len=None`` bounds no length, so it returns the whole group for
     finite systems (and raises CapExceeded for infinite ones).
-    ``letters`` restricts multiplication to a generator subset, enumerating
-    the standard parabolic subgroup it generates.
     """
-    gens = sorted(letters) if letters is not None else range(matrix.rank)
-    gens = [matrix.generator(i).word[0] for i in gens]
+    gens = range(matrix.rank)
     act, candidates = _root_table(matrix), matrix._descent_candidates
 
     def moves(rev):
@@ -140,11 +137,6 @@ def enumerate_elements(matrix: CoxeterMatrix, max_len: Optional[int], *,
     seen, _ = _search(b"", moves, cap, "element enumeration")
     words = sorted((rev[::-1] for rev in seen), key=lambda word: (len(word), word))
     return tuple(Element(matrix, word) for word in words)
-
-
-def whole_group(matrix: CoxeterMatrix, *, cap: int = DEFAULT_CAP, letters=None) -> tuple:
-    """Every element of a finite system (CapExceeded if the group is infinite)."""
-    return enumerate_elements(matrix, None, cap=cap, letters=letters)
 
 
 def conjugacy_class_bruteforce(w: Element, conjugator_len_cap: Optional[int], *,

@@ -74,19 +74,28 @@ class GeneratorSubset:
         return "{" + ",".join(self.names()) + "}"
 
 
-def diagram_components(matrix: CoxeterMatrix, subset: Members) -> tuple:
-    """Partition into diagram-connected pieces (edges where m(s,t) != 2)."""
-    remaining = set(_members(matrix, subset))
+def _components(matrix: CoxeterMatrix, members, joined) -> tuple:
+    """The connected components of the graph on ``members`` with an edge
+    between i and j when ``joined(m(i, j))`` holds, as frozensets ordered by
+    least member."""
+    remaining = set(members)
+    table = matrix.table
 
     def neighbours(i):
-        return ((j, None) for j in remaining if matrix.m(i, j) != 2)
+        orders = table[i]
+        return ((j, None) for j in remaining if joined(orders[j]))
 
     components = []
     while remaining:  # the seeds rise, so components come ordered by least member
-        comp, _ = _search(min(remaining), neighbours, INFINITY, "diagram search")
+        comp, _ = _search(min(remaining), neighbours, INFINITY, "component search")
         components.append(frozenset(comp))
         remaining -= comp
     return tuple(components)
+
+
+def diagram_components(matrix: CoxeterMatrix, subset: Members) -> tuple:
+    """Partition into diagram-connected pieces (edges where m(s,t) != 2)."""
+    return _components(matrix, _members(matrix, subset), lambda m: m != 2)
 
 
 def _path_graph(labels) -> nx.Graph:
@@ -189,33 +198,6 @@ def generator_subset(matrix: CoxeterMatrix, subset: Members) -> GeneratorSubset:
         components=diagram_components(matrix, members),
         spherical=is_spherical(matrix, members),
     )
-
-
-def spherical_subsets(matrix: CoxeterMatrix) -> tuple:
-    """All spherical subsets of the generators, by size then lexicographically.
-
-    A subset of a spherical set is spherical, so each size is built from the
-    spherical sets one smaller, each extended by a larger index: in order,
-    and testing only those candidates rather than all 2^rank subsets.
-    """
-    cache = matrix._scratch["parabolic"]
-    hit = cache.get("all_spherical")
-    if hit is None:
-        level = [()]
-        out = []
-        while level:
-            out.extend(frozenset(combo) for combo in level)
-            level = [combo + (j,) for combo in level
-                     for j in range(combo[-1] + 1 if combo else 0, matrix.rank)
-                     if is_spherical(matrix, combo + (j,))]
-        hit = tuple(out)
-        cache["all_spherical"] = hit
-    return hit
-
-
-def element_of_parabolic(w: Element, subset: Members) -> bool:
-    """Membership in a standard parabolic: the support must lie inside it."""
-    return support(w) <= _members(w.system, subset)
 
 
 def normalises(w: Element, subset: Members) -> bool:

@@ -21,14 +21,12 @@ straightness degenerates to a diagram condition on the support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
     DEFAULT_CAP,
     CoxeterMatrix,
     Element,
-    braid_class,
-    commutation_class,
     support,
     _braid_moves,
     _braid_orbit,
@@ -61,15 +59,7 @@ class NonTorsionFreeMember:
     subset: parabolic.GeneratorSubset
 
 
-@dataclass(frozen=True)
-class PowerDefect:
-    """An exponent where the power length falls short of linear growth."""
-
-    n: int
-    length: int
-
-
-Witness = Union[ShorterConjugate, NonTorsionFreeMember, PowerDefect, None]
+Witness = Union[ShorterConjugate, NonTorsionFreeMember, None]
 
 
 @dataclass(frozen=True)
@@ -135,21 +125,6 @@ def power_length_profile(w: Element, n_max: int) -> tuple:
     return tuple(out)
 
 
-def find_power_defect(w: Element, n_max: int = 10) -> Optional[PowerDefect]:
-    """First exponent up to n_max with l(w^n) < n l(w), if any.
-
-    A defect disproves straightness; absence proves nothing, so this is a
-    cross-check, not a decision procedure.  A profile that stops walking
-    because a copy of w repeats proves l(w^n) = n l(w) for every n; but no
-    bound is known on how many powers that takes, so ``n_max`` stays the
-    caller's cutoff.
-    """
-    for n, length in enumerate(power_length_profile(w, n_max), start=1):
-        if length < n * w.length:
-            return PowerDefect(n, length)
-    return None
-
-
 def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
     """Exact straightness decision over the cyclic-shift closure.
 
@@ -205,13 +180,6 @@ def is_fc(w: Element, cap: int = DEFAULT_CAP) -> bool:
     return hit is None
 
 
-def is_fc_definitional(w: Element, cap: int = DEFAULT_CAP) -> bool:
-    """Ground-truth FC decision: commutation moves alone already reach every
-    reduced word."""
-    matrix = w.system
-    return commutation_class(matrix, w.word, cap) == braid_class(matrix, w.word, cap)
-
-
 def is_cfc(w: Element, cap: int = DEFAULT_CAP) -> bool:
     """Cyclically fully commutative: cyclically reduced, and every node of the
     cyclic-shift closure is fully commutative."""
@@ -226,13 +194,6 @@ def cfc_straight(w: Element, cap: int = DEFAULT_CAP) -> bool:
     if not is_cfc(w, cap):
         raise NotCFC(f"element {w} is not cyclically fully commutative")
     return parabolic.only_infinite_irreducible_components(w.system, support(w))
-
-
-def is_coxeter_element(w: Element) -> bool:
-    """Each generator exactly once in the canonical word (such words are
-    automatically reduced)."""
-    word = w.word
-    return len(word) == w.system.rank and len(set(word)) == w.system.rank
 
 
 def coxeter_straight(matrix: CoxeterMatrix) -> bool:

@@ -24,12 +24,19 @@ power-length profile that multiplies out every power in normal form;
 cyclic reducedness that reduces every rotation of every reduced word; the
 elementary-move certificate that reduces every rotation; the
 spherical subsets found by testing all 2^rank subsets; and element
-enumeration that multiplies every element by every generator.
+enumeration that multiplies every element by every generator.  Last come
+the elements of a standard parabolic subgroup, enumerated in the system on
+its generators, and predicates on top of the engine that the tests ask and
+no decision path does: the commutation class and the definitional FC test
+(commutation class equals braid class), the elements spelled by rotations
+of reduced words, minimality in the conjugacy class, the first power whose
+length falls short of linear growth, and Coxeter-element recognition.
 """
 
 import itertools
 import math
 from collections import deque
+from enum import Enum
 from functools import lru_cache
 
 from coxkit import (
@@ -57,14 +64,13 @@ from coxkit import (
     kappa_closure,
     left_descents,
     multiply,
+    power_length_profile,
     reduce_word,
-    rotations,
-    spherical_subsets,
     support,
 )
 from coxkit.conjugacy import _elementary_targets, _hop_certificate
-from coxkit.core import _exchange, _root_table, _search
-from coxkit.errors import CapExceeded
+from coxkit.core import _braid_orbit, _exchange, _root_table, _search
+from coxkit.errors import CapExceeded, NotReduced
 from coxkit.roots import NEG
 
 INF = math.inf
@@ -404,8 +410,7 @@ def reference_hop_certificate(prev, rho, k, target, cap=DEFAULT_CAP):
 def reference_closure_record(u, cap=DEFAULT_CAP):
     """The public attributes of u's closure record, built eagerly as the
     engine built them before the record kept words: the same search, then
-    an element object per node, the element-keyed parent map, and the
-    minimal length and stratum."""
+    an element object per node, and the minimal length and stratum."""
     matrix = u.system
     peak = 0
 
@@ -415,16 +420,12 @@ def reference_closure_record(u, cap=DEFAULT_CAP):
         peak = max(peak, words)
         return targets.items()
 
-    parents = {}
-    seen, _ = _search(u.word, moves, cap, "cyclic-shift closure", parents=parents)
-    element = {v: Element(matrix, v) for v in sorted(seen, key=lambda v: (len(v), v))}
-    nodes = tuple(element.values())
+    seen, _ = _search(u.word, moves, cap, "cyclic-shift closure")
+    nodes = tuple(Element(matrix, v) for v in sorted(seen, key=lambda v: (len(v), v)))
     low = nodes[0].length
     return {
         "start": u,
         "nodes": nodes,
-        "parents": {element[v]: (element[prev], rho, k)
-                    for v, (prev, (rho, k)) in parents.items()},
         "min_length": low,
         "min_stratum": tuple(v for v in nodes if v.length == low),
         "length_preserved": low == u.length,
@@ -433,13 +434,14 @@ def reference_closure_record(u, cap=DEFAULT_CAP):
 
 
 def _reference_path_certificate(closure, target, cap):
+    matrix, start = closure.start.system, closure.start.word
     hops = []
-    cur = target
-    while cur != closure.start:
-        prev, rho, k = closure.parents[cur]
-        hops.append((prev, rho, k, cur))
+    cur = target.word
+    while cur != start:
+        prev, (rho, k) = closure.word_parents[cur]
+        hops.append((Element(matrix, prev), rho, k, Element(matrix, cur)))
         cur = prev
-    cert = MoveCertificate(closure.start.word, (), closure.start.word)
+    cert = MoveCertificate(start, (), start)
     for prev, rho, k, nxt in reversed(hops):
         cert = cert.then(_hop_certificate(prev, rho, k, nxt, cap))
     return cert
@@ -495,12 +497,12 @@ def reference_cent_prime_candidates(matrix, cap=DEFAULT_CAP):
     reads them for every element it checks."""
     out = []
     seen_gensets = set()
-    subsets = spherical_subsets(matrix)
+    subsets = reference_spherical_subsets(matrix)
     for members in subsets:
         if not members:
             continue
         j_sets = [j_set for j_set in subsets if j_set and j_set <= members]
-        for w_i in enumerate_elements(matrix, None, cap=cap, letters=members):
+        for w_i in parabolic_elements(matrix, members, cap=cap):
             images = {j: conjugate(w_i, matrix.generator(j)) for j in members}
             for j_set in j_sets:
                 gens = tuple(images[j] for j in sorted(j_set))
@@ -595,7 +597,7 @@ def reference_torsion_witness(w, conjugated=None):
     lds = left_descents(w)
     if not lds:
         return None
-    for members in spherical_subsets(w.system):
+    for members in reference_spherical_subsets(w.system):
         if members and (lds & members) and reference_normalises(w, members, conjugated):
             return members
     return None
@@ -619,6 +621,14 @@ def reference_power_length_profile(w, n_max):
 
 # ---------------------------------------------------------------------------
 # reference cyclic reducedness
+
+
+def rotations(word):
+    """All cyclic rotations of a word, by one letter up to the full length."""
+    n = len(word)
+    if n == 0:
+        return [word]
+    return [word[k:] + word[:k] for k in range(1, n + 1)]
 
 
 def reference_is_cyclically_reduced(w, cap=DEFAULT_CAP):
@@ -666,3 +676,87 @@ def reference_enumerate_elements(matrix, max_len, cap=DEFAULT_CAP, letters=None)
             seen.add(y)
             queue.append(y)
     return tuple(sorted(seen))
+
+
+def parabolic_elements(matrix, members, max_len=None, cap=DEFAULT_CAP):
+    """The elements of the standard parabolic subgroup W_I of length at most
+    ``max_len`` (all of them for None), canonically ordered: the elements of
+    the system on I, found by ``enumerate_elements`` under ``cap``, with
+    their words lifted back into W.  The reduced words of an element of W_I
+    use only letters of I, and lifting keeps the order of the letters, so a
+    lifted canonical word is canonical in W."""
+    members = tuple(sorted(members))
+    if not members:
+        return (matrix.identity(),)
+    return tuple(Element(matrix, bytes(members[i] for i in x.word))
+                 for x in enumerate_elements(_parabolic_system(matrix, members), max_len,
+                                             cap=cap))
+
+
+@lru_cache(maxsize=None)
+def _parabolic_system(matrix, members):
+    return CoxeterMatrix([matrix.names[i] for i in members],
+                         [[matrix.m(i, j) for j in members] for i in members])
+
+
+# ---------------------------------------------------------------------------
+# predicates and oracles on top of the engine
+
+
+def commutation_class(matrix, word, cap=DEFAULT_CAP):
+    """Orbit of a reduced word under commutation moves only (pairs with
+    m = 2), by the engine's braid-orbit search restricted to them, the
+    search ``is_fc`` runs."""
+    word = matrix.word(word)
+    if not is_reduced(matrix, word):
+        raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
+    seen, _ = _braid_orbit(matrix, word, cap, commutations_only=True)
+    return frozenset(seen)
+
+
+def is_fc_definitional(w, cap=DEFAULT_CAP):
+    """Ground-truth FC decision: commutation moves alone already reach every
+    reduced word."""
+    matrix = w.system
+    return commutation_class(matrix, w.word, cap) == braid_class(matrix, w.word, cap)
+
+
+def elementary_related(u, cap=DEFAULT_CAP):
+    """Elements spelled by rotations of reduced words of u (u included), read
+    off the engine's rotation targets."""
+    if u.is_identity():
+        return frozenset({u})
+    return frozenset(Element(u.system, target)
+                     for target in _elementary_targets(u.system, u.word, cap)[0])
+
+
+class TriState(Enum):
+    YES = "yes"
+    NO = "no"
+    UNKNOWN = "unknown"
+
+
+def is_min_in_conjugacy_class(w, cap=DEFAULT_CAP):
+    """Minimal length in the conjugacy class: certain when the closure
+    shortens (NO), or when w is cyclically reduced with finite order or the
+    centralising property (YES); UNKNOWN otherwise."""
+    if not kappa_closure(w, cap).length_preserved:
+        return TriState.NO
+    if is_finite_order(w, cap) or has_cent_prime(w, cap):
+        return TriState.YES
+    return TriState.UNKNOWN
+
+
+def find_power_defect(w, n_max=10):
+    """The first ``(n, l(w^n))`` with n <= n_max and l(w^n) < n l(w), or
+    None.  A defect disproves straightness; its absence proves nothing."""
+    for n, length in enumerate(power_length_profile(w, n_max), start=1):
+        if length < n * w.length:
+            return n, length
+    return None
+
+
+def is_coxeter_element(w):
+    """Each generator exactly once in the canonical word (such words are
+    automatically reduced)."""
+    return len(w.word) == w.system.rank == len(set(w.word))

@@ -32,7 +32,6 @@ from coxkit import (
     is_cyclically_reduced,
     is_cfc,
     is_fc,
-    is_fc_definitional,
     is_finite_order,
     is_reduced,
     is_reduced_oracle,
@@ -44,10 +43,8 @@ from coxkit import (
     normalises,
     power_length_profile,
     reduce_word,
-    spherical_subsets,
     standard_parabolic_closure,
     torsion_witness,
-    whole_group,
 )
 from coxkit.parabolic import _component_is_finite_type
 from coxkit.straight import NonTorsionFreeMember, ShorterConjugate
@@ -111,7 +108,7 @@ def test_criterion_3_cyclic_reducedness_vs_minimal_length(a3, b3):
     minimal_not_cyclically_reduced = []
     cyclically_reduced_not_minimal = {}
     for label, matrix in (("A3", a3), ("B3", b3)):
-        for w in whole_group(matrix):
+        for w in enumerate_elements(matrix, None):
             least = min(x.length for x in conjugacy_class_bruteforce(w, None))
             cyclically_reduced = is_cyclically_reduced(w)
             if w.length == least and not cyclically_reduced:
@@ -140,7 +137,7 @@ def test_criterion_3_cyclic_reducedness_vs_minimal_length(a3, b3):
 def test_criterion_3_companion_length_preservation_vs_minimal_length(a3, b3):
     # the sound form of the same statement, with zero exceptions
     for matrix in (a3, b3):
-        for w in whole_group(matrix):
+        for w in enumerate_elements(matrix, None):
             least = min(x.length for x in conjugacy_class_bruteforce(w, None))
             assert kappa_closure(w).length_preserved == (w.length == least), str(w)
     _report("3b", "closure length preservation = minimal length")
@@ -180,10 +177,10 @@ def test_criterion_5_coxeter_elements(a2t, u3, a3):
 
 def _torsion_free_definitional(w):
     matrix = w.system
-    for members in spherical_subsets(matrix):
+    for members in helpers.reference_spherical_subsets(matrix):
         if not members:
             continue
-        for torsion in enumerate_elements(matrix, None, letters=members):
+        for torsion in helpers.parabolic_elements(matrix, members):
             if torsion.is_identity():
                 continue
             cofactor = multiply(inverse(torsion), w)
@@ -244,7 +241,7 @@ def test_criterion_8_fully_commutative_sweeps(a2t, b3):
     for matrix in (b3, a2t):
         for w in enumerate_elements(matrix, 6):
             factor_path = is_fc(w)
-            if factor_path != is_fc_definitional(w):
+            if factor_path != helpers.is_fc_definitional(w):
                 fc_disagreements.append((matrix.names, str(w)))
             if factor_path and not is_torsion_free(w):
                 closure = standard_parabolic_closure(w)
@@ -258,7 +255,7 @@ def test_criterion_8_fully_commutative_sweeps(a2t, b3):
     for matrix in (helpers.A3, helpers.H3, helpers.G2T, helpers.U3, helpers.B2T,
                    helpers.T237, helpers.A3T):
         for w in enumerate_elements(matrix, 6):
-            if is_fc(w) != is_fc_definitional(w):
+            if is_fc(w) != helpers.is_fc_definitional(w):
                 fc_disagreements.append((matrix.names, str(w)))
     assert not fc_disagreements, fc_disagreements
     assert not cfc_disagreements, cfc_disagreements

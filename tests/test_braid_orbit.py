@@ -18,7 +18,6 @@ from coxkit import (
     braid_class,
     braid_word_path,
     canonical_word,
-    commutation_class,
     reduce_word_with_path,
 )
 from coxkit.errors import CapExceeded, NotReduced, ReplayError
@@ -47,7 +46,7 @@ def test_searches_match_reference_on_short_words(matrix):
         cls = braid_class(matrix, word)
         assert cls == orbit
         commuting, _ = helpers.reference_orbit_scan(matrix, word, only_commutations=True)
-        assert commutation_class(matrix, word) == commuting
+        assert helpers.commutation_class(matrix, word) == commuting
         for target in (min(cls), max(cls)):
             assert braid_word_path(matrix, word, target) == (
                 helpers.reference_braid_word_path(matrix, word, target))
@@ -75,7 +74,7 @@ def test_cap_refuses_at_the_reference_count():
     pairs = [
         (lambda cap: braid_class(_fresh_a3(), w0, cap),
          lambda cap: helpers.reference_orbit_scan(_fresh_a3(), w0, cap)),
-        (lambda cap: commutation_class(_fresh_a3(), w0, cap),
+        (lambda cap: helpers.commutation_class(_fresh_a3(), w0, cap),
          lambda cap: helpers.reference_orbit_scan(_fresh_a3(), w0, cap, only_commutations=True)),
         (lambda cap: braid_word_path(_fresh_a3(), w0, top, cap),
          lambda cap: helpers.reference_braid_word_path(_fresh_a3(), w0, top, cap)),

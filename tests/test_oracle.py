@@ -13,12 +13,11 @@ from coxkit import (
     is_reduced_oracle,
     order_bruteforce,
     reduce_word,
-    whole_group,
 )
 from coxkit import core, oracle
 from coxkit.cli import EXIT_USAGE, run
 from coxkit.core import CoxeterMatrix
-from coxkit.errors import CapExceeded, WordSyntaxError
+from coxkit.errors import CapExceeded
 
 
 class TestGeometricRep:
@@ -86,14 +85,14 @@ class TestEnumeration:
         assert len(elements) == 1 and elements[0].is_identity()
 
     def test_whole_group_b3(self, b3):
-        assert len(whole_group(b3)) == 48
+        assert len(enumerate_elements(b3, None)) == 48
 
     def test_whole_group_infinite_raises(self, a2t):
         with pytest.raises(CapExceeded):
-            whole_group(a2t, cap=500)
+            enumerate_elements(a2t, None, cap=500)
 
     def test_parabolic_restriction(self, a2t):
-        assert len(enumerate_elements(a2t, None, letters={0, 1})) == 6
+        assert len(helpers.parabolic_elements(a2t, {0, 1})) == 6
 
     def test_canonical_ordering(self, b3):
         elements = enumerate_elements(b3, 4)
@@ -143,9 +142,14 @@ class TestEnumeration:
     ])
     def test_cap_boundary(self, a3, max_len, letters, size):
         # the cap counts every element found, the identity included
-        assert len(enumerate_elements(a3, max_len, cap=size, letters=letters)) == size
+        def elements(cap):
+            if letters is None:
+                return enumerate_elements(a3, max_len, cap=cap)
+            return helpers.parabolic_elements(a3, letters, max_len, cap=cap)
+
+        assert len(elements(size)) == size
         with pytest.raises(CapExceeded) as refused:
-            enumerate_elements(a3, max_len, cap=size - 1, letters=letters)
+            elements(size - 1)
         assert str(refused.value) == f"element enumeration exceeded the node cap of {size - 1}"
 
     @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
@@ -154,7 +158,8 @@ class TestEnumeration:
         # over the whole system and over every pair of generators
         for letters in [None] + [set(pair) for pair in itertools.combinations(range(matrix.rank), 2)]:
             fresh = CoxeterMatrix(matrix.names, matrix.table)
-            ours = enumerate_elements(fresh, 5, letters=letters)
+            ours = (enumerate_elements(fresh, 5) if letters is None
+                    else helpers.parabolic_elements(fresh, letters, 5))
             assert [x.word for x in ours] == \
                 [x.word for x in helpers.reference_enumerate_elements(matrix, 5, letters=letters)]
             assert all(x.system is fresh for x in ours)
@@ -173,10 +178,6 @@ class TestEnumeration:
             assert ours == outcome(helpers.reference_enumerate_elements, cap), cap
             assert ours == (size if cap >= size else
                             f"element enumeration exceeded the node cap of {cap}"), cap
-
-    def test_letters_are_validated(self, a3):
-        with pytest.raises(WordSyntaxError):
-            enumerate_elements(a3, 2, letters={0, 3})
 
 
 class TestBruteForceClasses:

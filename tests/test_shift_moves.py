@@ -40,6 +40,7 @@ import helpers
 from coxkit import (
     DEFAULT_CAP,
     CoxeterMatrix,
+    Element,
     braid_class,
     conjugate,
     enumerate_elements,
@@ -127,7 +128,8 @@ def test_closure_parents_match_reference(matrix, max_len):
         closure = kappa_closure(u)
         ref_nodes, ref_parents = helpers.reference_closure_search(u)
         assert closure.nodes == tuple(sorted(ref_nodes)), u
-        assert dict(closure.parents) == ref_parents, u
+        assert closure.word_parents == {
+            v.word: (prev.word, (rho, k)) for v, (prev, rho, k) in ref_parents.items()}, u
 
 
 # system, longest element length swept for Cent'
@@ -288,7 +290,8 @@ def test_hop_certificates_match_reference(matrix):
     # keep the length and on hops that shorten it
     kept = shortened = 0
     for u in enumerate_elements(matrix, 6):
-        for target, (prev, rho, k) in kappa_closure(u).parents.items():
+        for target, (prev, (rho, k)) in kappa_closure(u).word_parents.items():
+            prev, target = Element(matrix, prev), Element(matrix, target)
             cert = _hop_certificate(prev, rho, k, target, DEFAULT_CAP)
             assert cert == helpers.reference_hop_certificate(prev, rho, k, target), (u, target)
             kept += target.length == prev.length
