@@ -119,6 +119,36 @@ class TestSphericity:
         sizes = [len(s) for s in subsets]
         assert sizes == sorted(sizes)
 
+    @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS + (_tripod(1, 2, 4),),
+                             ids=lambda m: "".join(m.names))
+    def test_spherical_subsets_match_every_subset_tested(self, matrix):
+        # a subset of a spherical set is spherical, which the torsion scan
+        # relies on when it abandons a closure that stops being spherical:
+        # growing each spherical set by a larger index finds every spherical
+        # subset, in the same order as testing all 2^rank of them
+        fresh = CoxeterMatrix(matrix.names, matrix.table)
+        level, grown = [()], []
+        while level:
+            grown.extend(frozenset(combo) for combo in level)
+            level = [combo + (j,) for combo in level
+                     for j in range(combo[-1] + 1 if combo else 0, fresh.rank)
+                     if is_spherical(fresh, combo + (j,))]
+        assert tuple(grown) == helpers.reference_spherical_subsets(matrix)
+
+    def test_spherical_subsets_test_only_extensions_of_spherical_ones(self):
+        # rank 20, every order infinite: the torsion scan tests only the
+        # closures it grows from a spherical set, not 2^20 subsets
+        rank = 20
+        matrix = CoxeterMatrix.from_pairs(
+            [f"s{i}" for i in range(rank)],
+            {(f"s{i}", f"s{j}"): helpers.INF for i in range(rank) for j in range(i + 1, rank)})
+        for i in range(rank):
+            assert torsion_witness(matrix.generator(i)) == frozenset({i})
+        assert torsion_witness(matrix.identity()) is None
+        assert torsion_witness(matrix.element("s0 s1")) is None
+        assert torsion_witness(matrix.element(" ".join(matrix.names))) is None
+        assert len(matrix._scratch["parabolic"]) < (rank + 1) * rank
+
 
 class TestComponents:
     def test_commuting_pair_splits(self, a1a1):
@@ -132,6 +162,18 @@ class TestComponents:
 
     def test_subset_str(self, a2t):
         assert str(generator_subset(a2t, {0, 2})) == "{s,u}"
+
+
+class TestParabolicMembership:
+    # w lies in W_I iff its smallest standard parabolic closure lies in I
+    def test_identity_in_everything(self, a2t):
+        assert standard_parabolic_closure(a2t.identity()).members <= frozenset()
+
+    def test_missing_letter(self, a2t):
+        assert not standard_parabolic_closure(a2t.element("st")).members <= {0}
+
+    def test_dihedral_word(self, a2):
+        assert standard_parabolic_closure(a2.element("sts")).members <= {0, 1}
 
 
 class TestNormalises:
