@@ -186,18 +186,18 @@ class KappaClosure:
         return tuple(v for v in self.nodes if v.length == low)
 
 
-def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
-    """The closure of u, by breadth-first search over the distinct targets of
-    each node.  The record is memoised per system under the start word.  A
-    hit whose peak or node count is over ``cap`` is searched again over the
-    memoised targets, so it refuses exactly as on a fresh system, naming the
-    same search.
-    """
+def _closure_search(u: Element, cap: int, stop=None) -> tuple:
+    """``(record, parents)``: u's closure record and the first-discovery
+    parent map of its search.  A memo hit over ``cap`` is searched again
+    over the memoised targets, so it refuses exactly as on a fresh system,
+    naming the same search.  Without a hit within ``cap``, the search ends
+    at the first node for which ``stop`` holds; it is then not exhaustive,
+    the record is None and nothing is memoised."""
     matrix = u.system
     cache = matrix._scratch["closure"]
     hit = cache.get(u.word)
     if hit is not None and max(hit.peak, len(hit.words)) <= cap:
-        return hit
+        return hit, hit.word_parents
     peak = 0
 
     def moves(v):
@@ -207,14 +207,27 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
         return targets.items()
 
     parents = {}
-    seen, _ = _search(u.word, moves, cap, "cyclic-shift closure", parents=parents)
+    seen, stopped = _search(u.word, moves, cap, "cyclic-shift closure",
+                            stop=stop, parents=parents)
+    if stopped is not None:
+        return None, parents
     record = cache[u.word] = KappaClosure(
         start=u,
         words=tuple(sorted(seen, key=lambda v: (len(v), v))),
         word_parents=MappingProxyType(parents),
         peak=peak,
     )
-    return record
+    return record, parents
+
+
+def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
+    """The closure of u, by breadth-first search over the distinct targets of
+    each node, memoised per system under the start word; a memo hit over
+    ``cap`` refuses exactly as a fresh search does (:func:`_closure_search`).
+    :func:`are_conjugate` may stop the search from its second input early,
+    and memoises only a search that ran to the end.
+    """
+    return _closure_search(u, cap)[0]
 
 
 def _hop_certificate(prev: Element, rho: Word, k: int, target: Element,
@@ -230,14 +243,14 @@ def _hop_certificate(prev: Element, rho: Word, k: int, target: Element,
     return MoveCertificate(prev.word, tuple(steps), target.word)
 
 
-def _path_certificate(closure: KappaClosure, target: Word, cap: int) -> MoveCertificate:
-    """The moves from the start of ``closure`` to its node ``target``, along
-    the parent map of the search."""
-    matrix, start = closure.start.system, closure.start.word
+def _path_certificate(matrix: CoxeterMatrix, start: Word, parents, target: Word,
+                      cap: int) -> MoveCertificate:
+    """The moves from ``start`` to ``target`` along ``parents``, the parent
+    map of a closure search from ``start`` that reached ``target``."""
     hops = []
     cur = target
     while cur != start:
-        prev, (rho, k) = closure.word_parents[cur]
+        prev, (rho, k) = parents[cur]
         hops.append((prev, rho, k, cur))
         cur = prev
     cert = MoveCertificate(start, (), start)
@@ -285,7 +298,7 @@ def cyclic_reduce(w: Element, cap: int = DEFAULT_CAP):
     """
     closure = kappa_closure(w, cap)
     target = _reduced_node(closure)
-    return target, _path_certificate(closure, target.word, cap)
+    return target, _path_certificate(w.system, w.word, closure.word_parents, target.word, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +480,13 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
     The verdict reads only the start closures, of u1 and of u2.  Start
     closures that share a node give CONJUGATE, meeting at the least shared
     node, with a certificate from each input to it over its start closure.
+    The least node of u1's closure, when u2's closure holds it, is that
+    meeting, so u2's search stops as soon as it reaches it.  The search is
+    breadth-first in a fixed order and keeps the parent of each node from
+    its first discovery, so up to the stop it finds the same nodes in the
+    same order, by the same moves, as the full search: the meeting and both
+    certificates are the ones the full closures give.  A stopped search
+    memoises no record; one that runs to the end memoises u2's closure.
 
     Otherwise their keys differ (equal keys are a shared node), the key of
     u being the least node of its start closure's minimal stratum.  A shortening start closure has that
@@ -486,23 +506,25 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
     on either cyclically reduced node), or through the brute-force fallback
     when it can enumerate the whole group.  Otherwise images in the
     abelianisation that differ (:func:`_abelian_image`) give NOT_CONJUGATE,
-    and the verdict is UNKNOWN.
+    and the verdict is UNKNOWN.  In an infinite group the enumeration is
+    never exhaustive, so when the images differ there it is skipped.
     """
     if u1.system != u2.system:
         raise ValueError("elements live in different Coxeter systems")
     matrix = u1.system
 
     # certificates are built only for a CONJUGATE verdict, the one that
-    # carries them; the words are in canonical order, so the first shared
-    # one is the least
-    start1, start2 = kappa_closure(u1, cap), kappa_closure(u2, cap)
-    nodes2 = set(start2.words)
-    meeting = next((v for v in start1.words if v in nodes2), None)
+    # carries them; the words are in canonical order, so the first one in
+    # u2's closure (its start or a node with a parent) is the least shared
+    start1 = kappa_closure(u1, cap)
+    start2, parents2 = _closure_search(u2, cap, stop=start1.words[0].__eq__)
+    meeting = next((v for v in start1.words if v == u2.word or v in parents2), None)
     if meeting is not None:
         return ConjugacyVerdict(
             ConjugacyStatus.CONJUGATE,
-            certificates=(_path_certificate(start1, meeting, cap),
-                          _path_certificate(start2, meeting, cap)),
+            certificates=(
+                _path_certificate(matrix, u1.word, start1.word_parents, meeting, cap),
+                _path_certificate(matrix, u2.word, parents2, meeting, cap)),
             meeting=Element(matrix, meeting),
         )
 
@@ -513,7 +535,11 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                 basis=CompletenessBasis.CENT_PRIME_INFINITE_ORDER,
             )
 
-    if brute_force:
+    # in an infinite group the enumeration is never exhaustive, so with
+    # different abelian images it could only end in their verdict below
+    abelian_differs = _abelian_image(matrix, u1.word) != _abelian_image(matrix, u2.word)
+    if brute_force and (not abelian_differs or parabolic._is_spherical(
+            matrix, frozenset(range(matrix.rank)))):
         conjugators = oracle.enumerate_elements(matrix, brute_len_cap, cap=cap)
         exhaustive = not conjugators or conjugators[-1].length < brute_len_cap
         for v in conjugators:
@@ -525,10 +551,9 @@ def are_conjugate(u1: Element, u2: Element, *, cap: int = DEFAULT_CAP,
                 basis=CompletenessBasis.BRUTE_FORCE,
             )
 
-    if _abelian_image(matrix, u1.word) != _abelian_image(matrix, u2.word):
+    if abelian_differs:
         return ConjugacyVerdict(
             ConjugacyStatus.NOT_CONJUGATE,
             basis=CompletenessBasis.ABELIAN_INVARIANT,
         )
     return ConjugacyVerdict(ConjugacyStatus.UNKNOWN)
-

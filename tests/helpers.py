@@ -15,11 +15,13 @@ and Cent' scan that reduce every rotation, walk every move and test every
 candidate subgroup w_I W_J w_I^-1, listed by enumerating every spherical
 W_I, one product at a time; the closure record built eagerly, an element
 object per node; the conjugacy verdict that searches the closure of each
-cyclically reduced node too and certifies in two legs; the letter parities
-per odd-order component by fixpoint iteration; the torsion scan that lists the spherical
-subsets and conjugates a subset's generators afresh for every subset it
-tests, the descent closures grown by fixpoint over two-product conjugates,
-and their search conjugating afresh for every closure it grows; the
+cyclically reduced node too and certifies in two legs, and the one that
+searches both start closures to the end before it looks for a shared
+node; the letter parities per odd-order component by fixpoint iteration;
+the torsion scan that lists the spherical subsets and conjugates a
+subset's generators afresh for every subset it tests, the descent closures
+grown by fixpoint over two-product conjugates, and their search
+conjugating afresh for every closure it grows; the
 power-length profile that multiplies out every power in normal form;
 cyclic reducedness that reduces every rotation of every reduced word; the
 elementary-move certificate that reduces every rotation; the
@@ -38,6 +40,7 @@ import math
 from collections import deque
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 from coxkit import (
     DEFAULT_CAP,
@@ -48,6 +51,7 @@ from coxkit import (
     ConjugacyVerdict,
     CoxeterMatrix,
     Element,
+    KappaClosure,
     MoveCertificate,
     RotateStep,
     braid_class,
@@ -407,10 +411,10 @@ def reference_hop_certificate(prev, rho, k, target, cap=DEFAULT_CAP):
     return MoveCertificate(prev.word, tuple(steps), target.word)
 
 
-def reference_closure_record(u, cap=DEFAULT_CAP):
-    """The public attributes of u's closure record, built eagerly as the
-    engine built them before the record kept words: the same search, then
-    an element object per node, and the minimal length and stratum."""
+def reference_start_closure(u, cap=DEFAULT_CAP):
+    """u's closure record as ``kappa_closure`` built it before a search
+    could stop early: the breadth-first search over the rotation targets,
+    run to the end and memoised nowhere."""
     matrix = u.system
     peak = 0
 
@@ -420,8 +424,18 @@ def reference_closure_record(u, cap=DEFAULT_CAP):
         peak = max(peak, words)
         return targets.items()
 
-    seen, _ = _search(u.word, moves, cap, "cyclic-shift closure")
-    nodes = tuple(Element(matrix, v) for v in sorted(seen, key=lambda v: (len(v), v)))
+    parents = {}
+    seen, _ = _search(u.word, moves, cap, "cyclic-shift closure", parents=parents)
+    return KappaClosure(start=u, words=tuple(sorted(seen, key=lambda v: (len(v), v))),
+                        word_parents=MappingProxyType(parents), peak=peak)
+
+
+def reference_closure_record(u, cap=DEFAULT_CAP):
+    """The public attributes of u's closure record, built eagerly as the
+    engine built them before the record kept words: the same search, then
+    an element object per node, and the minimal length and stratum."""
+    record = reference_start_closure(u, cap)
+    nodes = tuple(Element(u.system, v) for v in record.words)
     low = nodes[0].length
     return {
         "start": u,
@@ -429,7 +443,7 @@ def reference_closure_record(u, cap=DEFAULT_CAP):
         "min_length": low,
         "min_stratum": tuple(v for v in nodes if v.length == low),
         "length_preserved": low == u.length,
-        "peak": peak,
+        "peak": record.peak,
     }
 
 
@@ -469,6 +483,31 @@ def reference_are_conjugate(u1, u2, cap=DEFAULT_CAP):
         if not is_finite_order(v, cap) and has_cent_prime(v, cap):
             return ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
                                     basis=CompletenessBasis.CENT_PRIME_INFINITE_ORDER)
+    return ConjugacyVerdict(ConjugacyStatus.UNKNOWN)
+
+
+def reference_start_closure_verdict(u1, u2, cap=DEFAULT_CAP):
+    """The conjugacy verdict as the engine reached it when it searched both
+    start closures to the end: CONJUGATE at the first node of u1's closure
+    that u2's closure holds, certified over each; otherwise NOT_CONJUGATE
+    from Cent' on either cyclically reduced node, then from the abelian
+    images; UNKNOWN otherwise (no brute-force fallback)."""
+    matrix = u1.system
+    starts = [reference_start_closure(u, cap) for u in (u1, u2)]
+    nodes2 = set(starts[1].words)
+    meeting = next((v for v in starts[0].words if v in nodes2), None)
+    if meeting is not None:
+        meeting = Element(matrix, meeting)
+        return ConjugacyVerdict(ConjugacyStatus.CONJUGATE, meeting=meeting, certificates=tuple(
+            _reference_path_certificate(start, meeting, cap) for start in starts))
+    for start in starts:
+        v = start.start if start.length_preserved else Element(matrix, start.words[0])
+        if not is_finite_order(v, cap) and has_cent_prime(v, cap):
+            return ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
+                                    basis=CompletenessBasis.CENT_PRIME_INFINITE_ORDER)
+    if reference_abelian_image(matrix, u1.word) != reference_abelian_image(matrix, u2.word):
+        return ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
+                                basis=CompletenessBasis.ABELIAN_INVARIANT)
     return ConjugacyVerdict(ConjugacyStatus.UNKNOWN)
 
 

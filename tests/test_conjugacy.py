@@ -416,6 +416,15 @@ class TestConjugacy:
         v = verdict.conjugator
         assert multiply(multiply(v, a3.element("s1")), inverse(v)) == a3.element("s3")
 
+    def test_brute_force_skips_the_enumeration_in_an_infinite_group(self):
+        # U3 is infinite, so the enumeration is never exhaustive, and a and
+        # b differ in the abelianisation, so no conjugator exists: the
+        # verdict is the abelian one, with no enumeration, at every cap
+        fresh = CoxeterMatrix(helpers.U3.names, helpers.U3.table)
+        verdict = are_conjugate(fresh.element("a"), fresh.element("b"), cap=1, brute_force=True)
+        assert verdict == ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
+                                           basis=CompletenessBasis.ABELIAN_INVARIANT)
+
     def test_brute_force_fallback_refutes(self, a3):
         verdict = are_conjugate(
             a3.element("s1"), a3.element("s1 s2"), brute_force=True
@@ -485,6 +494,59 @@ class TestConjugacy:
                     expected = ConjugacyVerdict(ConjugacyStatus.NOT_CONJUGATE,
                                                 basis=CompletenessBasis.ABELIAN_INVARIANT)
             assert verdict == expected, (u1, u2)
+
+    @pytest.mark.parametrize("matrix, max_len", [
+        (helpers.A3, 4), (helpers.B3, 4), (helpers.A2T, 4), (helpers.B2T, 4),
+        (helpers.G2T, 4), (helpers.T237, 4), (helpers.DINF_A2, 3), (helpers.U3, 4),
+    ], ids=["A3", "B3", "A2~", "B2~", "G2~", "(2,3,7)", "DinfxA2", "U3"])
+    def test_matches_the_full_start_closure_reference(self, matrix, max_len):
+        # u2's search stops at the least node of u1's closure; the verdict
+        # equals the one from both start closures searched to the end, in
+        # status, meeting, certificates and basis, on every pair
+        elements = enumerate_elements(matrix, max_len)
+        for u1, u2 in itertools.product(elements, repeat=2):
+            expected = helpers.reference_start_closure_verdict(u1, u2)
+            assert are_conjugate(u1, u2) == expected, (u1, u2)
+
+    @pytest.mark.parametrize("matrix", [helpers.A2T, helpers.A3T], ids=["A2~", "A3~"])
+    def test_matches_the_full_start_closure_reference_on_conjugates(self, matrix):
+        # (u, v u v^-1): the second search meets the first closure's least
+        # node, often long before the end of the second closure; a few
+        # pairs, such as the finite-order s and t in A2~, stay UNKNOWN
+        pairs = list(itertools.product(enumerate_elements(matrix, 6),
+                                       enumerate_elements(matrix, 3)))
+        met = 0
+        for u, v in pairs:
+            w = conjugate(v, u)
+            expected = helpers.reference_start_closure_verdict(u, w)
+            assert are_conjugate(u, w) == expected, (u, w)
+            met += expected.status is ConjugacyStatus.CONJUGATE
+        assert met > 0.95 * len(pairs)
+
+    def test_second_search_stops_at_the_first_closures_least_node(self, a2t):
+        # the second closure is searched only up to the meeting and memoised
+        # nowhere: the rotation targets walked are those of u1's closure and
+        # of u2's nodes expanded before the one whose move reached the
+        # meeting, and the pair answers from cap 19 (23 when the second
+        # closure was searched to the end)
+        fresh = CoxeterMatrix(a2t.names, a2t.table)
+        u1, u2 = fresh.element("stutst"), fresh.element("stustutstuts")
+        verdict = are_conjugate(u1, u2)
+        assert verdict.status is ConjugacyStatus.CONJUGATE
+        assert u2.word not in fresh._scratch["closure"]
+        full = helpers.reference_start_closure(CoxeterMatrix(a2t.names, a2t.table).element(u2.word))
+        order = [u2.word, *full.word_parents]  # discovery order
+        expanded = order[:order.index(full.word_parents[verdict.meeting.word][0]) + 1]
+        assert len(expanded) < len(full.words)
+        walked = set(fresh._scratch["elementary_targets"])
+        assert walked == set(kappa_closure(u1).words) | set(expanded)
+        def on_a_fresh_system(cap):
+            matrix = CoxeterMatrix(a2t.names, a2t.table)
+            return are_conjugate(matrix.element(u1.word), matrix.element(u2.word), cap=cap)
+
+        with pytest.raises(CapExceeded):
+            on_a_fresh_system(18)
+        assert on_a_fresh_system(19) == verdict
 
     @pytest.mark.parametrize("matrix", helpers.ALL_SYSTEMS, ids=lambda m: "".join(m.names))
     def test_key_is_the_least_node_of_the_reduced_closure(self, matrix):
@@ -711,17 +773,27 @@ def test_are_conjugate_keeps_the_cap_contract():
         except CapExceeded as exc:
             return "refusal", str(exc)
 
-    for matrix, max_len in ((helpers.A3, 3), (helpers.A2T, 3)):
-        words = [e.word for e in enumerate_elements(matrix, max_len)]
-        pairs = list(itertools.product(words, repeat=2))
+    def keeps_the_contract(matrix, pairs, caps):
         warm = CoxeterMatrix(matrix.names, matrix.table)
         defaults = {pair: outcome(warm, pair, DEFAULT_CAP) for pair in pairs}
         for pair in pairs:
             seen = []
-            for cap in range(1, 18):
+            for cap in caps:
                 fresh = outcome(CoxeterMatrix(matrix.names, matrix.table), pair, cap)
                 assert outcome(warm, pair, cap) == fresh, (pair, cap)
                 seen.append(fresh)
             answered = [o for o in seen if o[0] == "answer"]
             assert seen[len(seen) - len(answered):] == answered, pair
             assert all(o == defaults[pair] for o in answered), pair
+
+    for matrix, max_len in ((helpers.A3, 3), (helpers.A2T, 3)):
+        words = [e.word for e in enumerate_elements(matrix, max_len)]
+        keeps_the_contract(matrix, list(itertools.product(words, repeat=2)), range(1, 18))
+    # known conjugates whose second search stops far from the end of its
+    # closure: in the order given they answer from cap 19 and 20, below the
+    # 23 and 52 nodes of the second closure; the reversed order searches
+    # that closure to the end, so the warm system holds both closures
+    for matrix, pair in ((helpers.A2T, ("stutst", "stustutstuts")),
+                         (helpers.A3T, ("adcb", "acdadcbdca"))):
+        words = tuple(matrix.word(text) for text in pair)
+        keeps_the_contract(matrix, [words, words[::-1]], range(1, 60))
