@@ -27,7 +27,6 @@ from .core import (
     left_descents,
     multiply,
     power,
-    reduce_word,
     reduce_word_with_path,
     right_descents,
     support,

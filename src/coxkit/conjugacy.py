@@ -40,6 +40,7 @@ from .core import (
     reduce_word_with_path,
     support,
     _braid_orbit,
+    _conjugate_word,
     _exchange,
     _root_table,
     _search,
@@ -72,11 +73,6 @@ class MoveCertificate:
         if word != self.end:
             raise ReplayError("certificate does not reach its claimed end word")
         return word
-
-    def then(self, other: "MoveCertificate") -> "MoveCertificate":
-        if self.end != other.start:
-            raise ReplayError("certificates do not compose")
-        return MoveCertificate(self.start, self.steps + other.steps, other.end)
 
 
 def format_step(matrix: CoxeterMatrix, step: Step) -> str:
@@ -230,34 +226,27 @@ def kappa_closure(u: Element, cap: int = DEFAULT_CAP) -> KappaClosure:
     return _closure_search(u, cap)[0]
 
 
-def _hop_certificate(prev: Element, rho: Word, k: int, target: Element,
-                     cap: int) -> MoveCertificate:
-    """Certificate of one elementary move: braid into rho, rotate, reduce."""
-    matrix = prev.system
-    steps = list(braid_word_path(matrix, prev.word, rho, cap))
-    steps.append(RotateStep(k, rho))
-    landed, reduction = reduce_word_with_path(matrix, rho[k:] + rho[:k], cap)
-    if landed != target:
-        raise InvariantViolation("elementary move replays to an unexpected element")
-    steps.extend(reduction)
-    return MoveCertificate(prev.word, tuple(steps), target.word)
-
-
 def _path_certificate(matrix: CoxeterMatrix, start: Word, parents, target: Word,
                       cap: int) -> MoveCertificate:
     """The moves from ``start`` to ``target`` along ``parents``, the parent
-    map of a closure search from ``start`` that reached ``target``."""
+    map of a closure search from ``start`` that reached ``target``: for each
+    hop prev -> (rho, k) -> node, braid prev into rho, rotate it by k, and
+    reduce the rotation, which must land on the node."""
     hops = []
     cur = target
     while cur != start:
         prev, (rho, k) = parents[cur]
         hops.append((prev, rho, k, cur))
         cur = prev
-    cert = MoveCertificate(start, (), start)
-    for prev, rho, k, nxt in reversed(hops):
-        cert = cert.then(_hop_certificate(Element(matrix, prev), rho, k,
-                                          Element(matrix, nxt), cap))
-    return cert
+    steps = []
+    for prev, rho, k, node in reversed(hops):
+        steps += braid_word_path(matrix, prev, rho, cap)
+        steps.append(RotateStep(k, rho))
+        landed, reduction = reduce_word_with_path(matrix, rho[k:] + rho[:k], cap)
+        if landed.word != node:
+            raise InvariantViolation("elementary move replays to an unexpected element")
+        steps += reduction
+    return MoveCertificate(start, tuple(steps), target)
 
 
 def is_cyclically_reduced(w: Element, cap: int = DEFAULT_CAP) -> bool:
@@ -344,22 +333,6 @@ def _spherical_reflections(matrix: CoxeterMatrix, cap: int) -> tuple:
     return hit
 
 
-def _conjugate_within(matrix: CoxeterMatrix, v_word: Word, x_word: Word,
-                      top: int) -> Optional[Word]:
-    """The canonical word of v x v^-1, built as ``core._conjugate_word``
-    builds it, or None as soon as it cannot end at most ``top`` letters
-    long: one shift changes the length by at most 2, so while j letters of
-    v remain to apply, a conjugate longer than top + 2j never gets there."""
-    shifts = matrix._scratch["shift"]
-    limit = top + 2 * len(v_word)
-    for s in reversed(v_word):
-        if len(x_word) > limit:
-            return None
-        x_word = shifts.get((x_word, s)) or _shift(matrix, x_word, s)
-        limit -= 2
-    return x_word
-
-
 def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
     """Along the whole closure of a cyclically reduced u, normalising a
     candidate, a subgroup w_I W_J w_I^-1 with I spherical, J a nonempty
@@ -411,12 +384,12 @@ def has_cent_prime(u: Element, cap: int = DEFAULT_CAP) -> bool:
 
     def moves_a_spherical_orbit(word):
         for g in reflections:
-            union, r = frozenset(g), _conjugate_within(matrix, word, g, top)
+            union, r = frozenset(g), _conjugate_word(matrix, word, g, top)
             while r != g and r in spherical:  # else the union is not spherical
                 union = union.union(r)
                 if not parabolic._is_spherical(matrix, union):
                     break
-                r = _conjugate_within(matrix, word, r, top)
+                r = _conjugate_word(matrix, word, r, top)
                 if r == g:
                     return True
         return False

@@ -14,8 +14,10 @@ forms come from the table of minimal roots of Brink and Howlett (see
 
 So the word layer (``canonical_word``, ``is_reduced``, products, inverses,
 descents, and conjugates, built by ``_conjugate_word`` one cyclic shift
-s*v*s at a time through ``_shift``) never searches and takes no node cap.
-Braid classes, commutation classes and braid-move paths are found by
+s*v*s at a time through ``_shift`` and dropped as soon as they cannot end
+within a length bound, when one is given) never searches and takes no node
+cap.
+Braid classes, the fully-commutative test and braid-move paths are found by
 searching the graph of braid moves, ``_braid_orbit`` (Tits: two reduced words
 spell the same element iff braid moves connect them).  That search, the
 cyclic-shift closure and element enumeration are all ``_search``, one capped
@@ -25,7 +27,8 @@ takes a ``cap`` keeps one contract, so refusals are monotone in the cap and
 independent of memo state:
 
   * a call refuses iff the search nodes that its own algorithm visits on a
-    fresh system exceed the cap;
+    fresh system exceed the cap (a search always visits its start, so a
+    cap of 0 refuses);
   * a memo hit refuses exactly as that fresh call would;
   * a test that visits no search node answers at every cap.
 
@@ -222,12 +225,9 @@ class CoxeterMatrix:
             raise WordSyntaxError(f"invalid generator index {i!r}")
         return Element(self, bytes([i]))
 
-    def generators(self) -> tuple:
-        return tuple(Element(self, bytes([i])) for i in range(self.rank))
-
     def element(self, word: WordLike) -> "Element":
         """Parse and reduce a word to the element it spells."""
-        return reduce_word(self, self.word(word))
+        return Element(self, canonical_word(self, self.word(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,11 @@ def _search(start, moves, cap, what, *, stop=None, parents=None):
     for which ``stop`` holds; the search ends there.  Without such a node the
     orbit is exhausted and ``hit`` is None.  ``parents`` (when given) collects
     first-discovery back-pointers ``next -> (node, back)``.  More than ``cap``
-    nodes raise CapExceeded naming ``what``.
+    nodes raise CapExceeded naming ``what``; ``start`` is always visited, so
+    a ``cap`` below 1 refuses before anything is tested.
     """
+    if cap < 1:
+        raise CapExceeded(f"{what} exceeded the node cap of {cap}")
     if stop is not None and stop(start):
         return {start}, start
     seen = {start}
@@ -327,7 +330,7 @@ def _search(start, moves, cap, what, *, stop=None, parents=None):
     return seen, None
 
 
-def _braid_moves(table, cur: Word, commutations_only: bool = False):
+def _braid_moves(table, cur: Word):
     """The braid moves that apply to ``cur``, as ``(next word, position)``."""
     n = len(cur)
     for pos in range(n - 1):
@@ -336,7 +339,7 @@ def _braid_moves(table, cur: Word, commutations_only: bool = False):
             yield cur[:pos] + cur[pos + 1 : pos + 2] + cur[pos : pos + 1] + cur[pos + 2 :], pos
             continue
         # m is 1 on a repeated letter, and an infinite m never fits
-        if m == 1 or pos + m > n or commutations_only:
+        if m == 1 or pos + m > n:
             continue
         # the m letters from pos alternate when each repeats the one two
         # places back; the move reads them from pos + 1, then repeats the
@@ -346,12 +349,12 @@ def _braid_moves(table, cur: Word, commutations_only: bool = False):
             yield cur[:pos] + swapped + cur[pos + m :], pos
 
 
-def _braid_orbit(matrix, word, cap, *, commutations_only=False, stop=None, parents=None):
+def _braid_orbit(matrix, word, cap, *, stop=None, parents=None):
     """:func:`_search` of the braid-move orbit of ``word``; ``parents`` maps a
     word to ``(previous word, position of the move)``."""
     table = matrix.table
-    return _search(word, lambda cur: _braid_moves(table, cur, commutations_only),
-                   cap, "braid-move orbit", stop=stop, parents=parents)
+    return _search(word, lambda cur: _braid_moves(table, cur), cap, "braid-move orbit",
+                   stop=stop, parents=parents)
 
 
 def _root_table(matrix: CoxeterMatrix) -> dict:
@@ -469,27 +472,27 @@ def _walk_parents(parents, target) -> list:
 
 
 def reduce_word_with_path(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP):
-    """Like :func:`reduce_word`, also returning the replayable move path.
+    """``(element, steps)``: the element ``word`` spells and a replayable
+    move path from the word to its canonical word.
 
     The canonical word comes first, with no search.  Only a reduced word is
     as long, so while the word is longer, braid moves reach a word with an
-    equal adjacent pair, which is cancelled; then braid moves reach the
-    canonical word, and each search stops at the first word it looks for.
+    equal adjacent pair, which is cancelled; then :func:`braid_word_path`
+    reaches the canonical word.  Each search stops at the first word it
+    looks for.
     """
     cur = matrix.word(word)
     canon = canonical_word(matrix, cur)
     steps = []
-    while True:
+    while len(cur) > len(canon):
         parents = {}
-        reduced = len(cur) == len(canon)
-        _, sigma = _braid_orbit(matrix, cur, cap, stop=canon.__eq__ if reduced else _has_repeat,
-                                parents=parents)
+        _, sigma = _braid_orbit(matrix, cur, cap, stop=_has_repeat, parents=parents)
         steps.extend(_walk_parents(parents, sigma))
-        if reduced:
-            return Element(matrix, canon), steps
         p = next(i for i in range(len(sigma) - 1) if sigma[i] == sigma[i + 1])
         steps.append(CancelStep(p))
         cur = sigma[:p] + sigma[p + 2 :]
+    steps.extend(braid_word_path(matrix, cur, canon, cap))
+    return Element(matrix, canon), steps
 
 
 def braid_word_path(matrix: CoxeterMatrix, source: WordLike, target: WordLike,
@@ -515,7 +518,7 @@ class Element:
     """A group element, held as its shortlex-least reduced word.
 
     Do not construct directly from an arbitrary word; go through
-    :meth:`CoxeterMatrix.element` or :func:`reduce_word`, which canonicalise.
+    :meth:`CoxeterMatrix.element`, which canonicalises.
     """
 
     system: CoxeterMatrix
@@ -564,11 +567,6 @@ def _same_system(x: Element, y: Element) -> CoxeterMatrix:
     return x.system
 
 
-def reduce_word(matrix: CoxeterMatrix, word: WordLike) -> Element:
-    """Reduce a word and return the element it spells."""
-    return Element(matrix, canonical_word(matrix, word))
-
-
 def multiply(x: Element, y: Element) -> Element:
     matrix = _same_system(x, y)
     return Element(matrix, canonical_word(matrix, x.word + y.word))
@@ -606,13 +604,25 @@ def _shift(matrix: CoxeterMatrix, word: Word, s: int) -> Word:
     return hit
 
 
-def _conjugate_word(matrix: CoxeterMatrix, v_word: Word, x_word: Word) -> Word:
+def _conjugate_word(matrix: CoxeterMatrix, v_word: Word, x_word: Word,
+                    top: Optional[int] = None) -> Optional[Word]:
     """The canonical word of v x v^-1 for the canonical words of v and x:
     a_1(...(a_l x a_l)...)a_1 for v = a_1...a_l, one shift per letter from
-    the right, read from the shift memo (:func:`_shift` on a miss)."""
+    the right, read from the shift memo (:func:`_shift` on a miss).  None as
+    soon as it cannot end at most ``top`` letters long: one shift changes
+    the length by at most 2, so while j letters of v remain to apply, a
+    conjugate longer than top + 2j never gets there.  No conjugate is longer
+    than l(x) + 2 l(v), the bound taken when ``top`` is None, so then none
+    is dropped (an integer bound keeps the test cheap)."""
+    if top is None:
+        top = len(x_word) + 2 * len(v_word)
     shifts = matrix._scratch["shift"]
+    limit = top + 2 * len(v_word)
     for s in reversed(v_word):
+        if len(x_word) > limit:
+            return None
         x_word = shifts.get((x_word, s)) or _shift(matrix, x_word, s)
+        limit -= 2
     return x_word
 
 

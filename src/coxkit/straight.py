@@ -168,15 +168,16 @@ def is_straight(w: Element, cap: int = DEFAULT_CAP) -> StraightnessVerdict:
 
 def is_fc(w: Element, cap: int = DEFAULT_CAP) -> bool:
     """Fully commutative: no reduced word carries a braid factor of length
-    m(s,t) >= 3 (Stembridge, J. Algebraic Combin. 5, 1996).  Searches only
-    the commutation class, up to a word with such a factor: without one,
-    only commutations apply, so that class is the whole braid class."""
+    m(s,t) >= 3 (Stembridge, J. Algebraic Combin. 5, 1996).  Searches the
+    braid-move orbit up to the first word with such a factor; every word
+    expanded before it has none, so only commutations apply and the search
+    covers at most the commutation class, which is then the braid class."""
     table = w.system.table
 
     def has_braid_factor(rho):
         return any(table[rho[pos]][rho[pos + 1]] > 2 for _, pos in _braid_moves(table, rho))
 
-    _, hit = _braid_orbit(w.system, w.word, cap, commutations_only=True, stop=has_braid_factor)
+    _, hit = _braid_orbit(w.system, w.word, cap, stop=has_braid_factor)
     return hit is None
 
 

@@ -24,7 +24,9 @@ grown by fixpoint over two-product conjugates, and their search
 conjugating afresh for every closure it grows; the
 power-length profile that multiplies out every power in normal form;
 cyclic reducedness that reduces every rotation of every reduced word; the
-elementary-move certificate that reduces every rotation; the
+elementary-move certificate that reduces every rotation, and the path
+certificate that joins one per hop; the FC test that searches commutation
+moves alone; the
 spherical subsets found by testing all 2^rank subsets; and element
 enumeration that multiplies every element by every generator.  Last come
 the elements of a standard parabolic subgroup, enumerated in the system on
@@ -69,11 +71,10 @@ from coxkit import (
     left_descents,
     multiply,
     power_length_profile,
-    reduce_word,
     support,
 )
-from coxkit.conjugacy import _elementary_targets, _hop_certificate
-from coxkit.core import _braid_orbit, _exchange, _root_table, _search
+from coxkit.conjugacy import _elementary_targets
+from coxkit.core import _exchange, _root_table, _search
 from coxkit.errors import CapExceeded, NotReduced
 from coxkit.roots import NEG
 
@@ -360,7 +361,7 @@ def reference_elementary_edges(u, cap=DEFAULT_CAP):
     out = []
     for rho in sorted(braid_class(u.system, u.word, cap)):
         for k in range(1, len(rho) + 1):
-            out.append((rho, k, reduce_word(u.system, rho[k:] + rho[:k])))
+            out.append((rho, k, u.system.element(rho[k:] + rho[:k])))
     return tuple(out)
 
 
@@ -400,9 +401,11 @@ def reference_closure_search(u, cap=DEFAULT_CAP):
     return nodes, parents
 
 
+@lru_cache(maxsize=4096)
 def reference_hop_certificate(prev, rho, k, target, cap=DEFAULT_CAP):
     """The certificate of one elementary move by the reference path engines:
-    braid into rho, rotate, then reduce the rotation."""
+    braid into rho, rotate, then reduce the rotation.  Cached, as many paths
+    share a hop."""
     steps = reference_braid_word_path(prev.system, prev.word, rho, cap)
     steps.append(RotateStep(k, rho))
     landed, reduction = reference_reduce_word_with_path(prev.system, rho[k:] + rho[:k], cap)
@@ -447,18 +450,28 @@ def reference_closure_record(u, cap=DEFAULT_CAP):
     }
 
 
+def _joined(certificates):
+    """One certificate from consecutive ones, each starting where the one
+    before it ends."""
+    for before, after in zip(certificates, certificates[1:]):
+        assert before.end == after.start
+    return MoveCertificate(certificates[0].start,
+                           tuple(step for cert in certificates for step in cert.steps),
+                           certificates[-1].end)
+
+
 def _reference_path_certificate(closure, target, cap):
+    """The certificate from the closure's start to ``target`` along its
+    parents: the reference certificates of the hops, joined."""
     matrix, start = closure.start.system, closure.start.word
     hops = []
     cur = target.word
     while cur != start:
         prev, (rho, k) = closure.word_parents[cur]
-        hops.append((Element(matrix, prev), rho, k, Element(matrix, cur)))
+        hops.append(reference_hop_certificate(Element(matrix, prev), rho, k,
+                                              Element(matrix, cur), cap))
         cur = prev
-    cert = MoveCertificate(start, (), start)
-    for prev, rho, k, nxt in reversed(hops):
-        cert = cert.then(_hop_certificate(prev, rho, k, nxt, cap))
-    return cert
+    return _joined([MoveCertificate(start, (), start)] + hops[::-1])
 
 
 def reference_are_conjugate(u1, u2, cap=DEFAULT_CAP):
@@ -474,8 +487,8 @@ def reference_are_conjugate(u1, u2, cap=DEFAULT_CAP):
     meeting = closures[0].nodes[0]
     if meeting == closures[1].nodes[0]:
         certificates = tuple(
-            _reference_path_certificate(start, v, cap).then(
-                _reference_path_certificate(closure, meeting, cap))
+            _joined([_reference_path_certificate(start, v, cap),
+                     _reference_path_certificate(closure, meeting, cap)])
             for start, v, closure in zip(starts, reduced, closures))
         return ConjugacyVerdict(ConjugacyStatus.CONJUGATE, certificates=certificates,
                                 meeting=meeting)
@@ -744,13 +757,42 @@ def _parabolic_system(matrix, members):
 
 def commutation_class(matrix, word, cap=DEFAULT_CAP):
     """Orbit of a reduced word under commutation moves only (pairs with
-    m = 2), by the engine's braid-orbit search restricted to them, the
-    search ``is_fc`` runs."""
+    m = 2), by the reference orbit scan restricted to them."""
     word = matrix.word(word)
     if not is_reduced(matrix, word):
         raise NotReduced(f"word {matrix.word_str(word)} is not reduced")
-    seen, _ = _braid_orbit(matrix, word, cap, commutations_only=True)
+    seen, _ = reference_orbit_scan(matrix, word, cap, only_commutations=True)
     return frozenset(seen)
+
+
+def reference_is_fc(w, cap=DEFAULT_CAP):
+    """``is_fc`` by a capped breadth-first search over commutation moves
+    alone, ending at the first word with a braid factor of order 3 or more:
+    the search ``is_fc`` ran before its moves were the whole braid-move
+    set, with the same refusal."""
+    matrix = w.system
+
+    def has_braid_factor(word):
+        return any(matrix.m(*step.pair) > 2 for step, _ in reference_braid_moves(matrix, word))
+
+    if cap < 1:
+        raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
+    if has_braid_factor(w.word):
+        return False
+    seen = {w.word}
+    queue = deque([w.word])
+    while queue:
+        cur = queue.popleft()
+        for _, nxt in reference_braid_moves(matrix, cur, only_commutations=True):
+            if nxt in seen:
+                continue
+            if len(seen) >= cap:
+                raise CapExceeded(f"braid-move orbit exceeded the node cap of {cap}")
+            seen.add(nxt)
+            if has_braid_factor(nxt):
+                return False
+            queue.append(nxt)
+    return True
 
 
 def is_fc_definitional(w, cap=DEFAULT_CAP):

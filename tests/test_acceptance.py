@@ -42,7 +42,6 @@ from coxkit import (
     normaliser_decomposition,
     normalises,
     power_length_profile,
-    reduce_word,
     standard_parabolic_closure,
     torsion_witness,
 )
@@ -166,7 +165,7 @@ def test_criterion_4_conjugates_reach_the_closure(a2t):
 def test_criterion_5_coxeter_elements(a2t, u3, a3):
     for matrix, expect_straight in ((a2t, True), (u3, True), (a3, False)):
         for order in itertools.permutations(range(matrix.rank)):
-            c = reduce_word(matrix, bytes(order))
+            c = matrix.element(bytes(order))
             verdict = is_straight(c)
             assert verdict.straight == expect_straight, (matrix.names, str(c))
             if expect_straight:

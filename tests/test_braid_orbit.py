@@ -1,7 +1,7 @@
 """The braid-orbit search against the reference path engines it replaced.
 
-Braid classes, commutation classes, reduction paths and braid-move paths all
-come from one breadth-first search.  Certificates print these paths, so they
+Braid classes, the fully-commutative test, reduction paths and braid-move
+paths all come from one breadth-first search.  Certificates print these paths, so they
 must match the reference engines in ``helpers`` move for move, and the node
 cap must refuse at exactly the same count.  A reduction finds the normal form
 first, so once its word is reduced it braids only as far as the normal form.
@@ -18,6 +18,7 @@ from coxkit import (
     braid_class,
     braid_word_path,
     canonical_word,
+    is_fc,
     reduce_word_with_path,
 )
 from coxkit.errors import CapExceeded, NotReduced, ReplayError
@@ -46,7 +47,7 @@ def test_searches_match_reference_on_short_words(matrix):
         cls = braid_class(matrix, word)
         assert cls == orbit
         commuting, _ = helpers.reference_orbit_scan(matrix, word, only_commutations=True)
-        assert helpers.commutation_class(matrix, word) == commuting
+        assert is_fc(matrix.element(word)) == (commuting == cls)
         for target in (min(cls), max(cls)):
             assert braid_word_path(matrix, word, target) == (
                 helpers.reference_braid_word_path(matrix, word, target))
@@ -74,8 +75,8 @@ def test_cap_refuses_at_the_reference_count():
     pairs = [
         (lambda cap: braid_class(_fresh_a3(), w0, cap),
          lambda cap: helpers.reference_orbit_scan(_fresh_a3(), w0, cap)),
-        (lambda cap: helpers.commutation_class(_fresh_a3(), w0, cap),
-         lambda cap: helpers.reference_orbit_scan(_fresh_a3(), w0, cap, only_commutations=True)),
+        (lambda cap: is_fc(_fresh_a3().element("s2 s1 s3 s2"), cap),
+         lambda cap: helpers.reference_is_fc(_fresh_a3().element("s2 s1 s3 s2"), cap)),
         (lambda cap: braid_word_path(_fresh_a3(), w0, top, cap),
          lambda cap: helpers.reference_braid_word_path(_fresh_a3(), w0, top, cap)),
         (lambda cap: reduce_word_with_path(_fresh_a3(), w0 + w0[-1:], cap),

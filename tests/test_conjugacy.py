@@ -11,6 +11,8 @@ from coxkit import (
     ConjugacyVerdict,
     are_conjugate,
     braid_class,
+    braid_word_path,
+    cfc_straight,
     conjugacy_class_bruteforce,
     conjugate,
     cyclic_reduce,
@@ -26,7 +28,7 @@ from coxkit import (
     kappa_closure,
     multiply,
     parse_step,
-    reduce_word,
+    reduce_word_with_path,
 )
 from coxkit.conjugacy import MoveCertificate, _elementary_targets, _reduced_node
 from coxkit.core import DEFAULT_CAP, BraidStep, CoxeterMatrix, RotateStep
@@ -85,7 +87,7 @@ class TestKappaClosure:
     def test_nodes_are_conjugate_to_start(self, a3):
         # exact classes exist in the finite system
         for word in helpers.all_words(a3, 5):
-            start = reduce_word(a3, word)
+            start = a3.element(word)
             cls = set(conjugacy_class_bruteforce(start, None))
             assert set(kappa_closure(start).nodes) <= cls
 
@@ -96,7 +98,7 @@ class TestKappaClosure:
             targets, _ = _elementary_targets(a2t, src.word)
             assert targets
             for dst, (rho, k) in targets.items():
-                prefix = reduce_word(a2t, rho[:k])
+                prefix = a2t.element(rho[:k])
                 assert multiply(multiply(inverse(prefix), src), prefix).word == dst
 
     def test_symmetry_on_length_preserved_orbits(self, a2t):
@@ -229,7 +231,7 @@ class TestCyclicReducedness:
         # the converse is false: see test_known_non_minimal_cyclically_reduced
         for matrix in (a2t, b3):
             for word in helpers.all_words(matrix, 4):
-                e = reduce_word(matrix, word)
+                e = matrix.element(word)
                 if kappa_closure(e).length_preserved:
                     assert is_cyclically_reduced(e)
                 if not is_cyclically_reduced(e):
@@ -334,7 +336,7 @@ class TestCyclicReduce:
 
     def test_descent_soundness_sweep(self, a2t):
         for word in helpers.all_words(a2t, 5):
-            e = reduce_word(a2t, word)
+            e = a2t.element(word)
             target, cert = cyclic_reduce(e)
             assert target.length <= e.length
             assert (target.length == e.length) == is_cyclically_reduced(e)
@@ -383,7 +385,7 @@ class TestCertificates:
             conjugator = matrix.identity()
             for step in cert.steps:
                 if isinstance(step, RotateStep):
-                    prefix = reduce_word(matrix, step.word[: step.k])
+                    prefix = matrix.element(step.word[: step.k])
                     conjugator = multiply(conjugator, prefix)
             assert multiply(multiply(inverse(conjugator), e), conjugator) == target
 
@@ -439,7 +441,7 @@ class TestConjugacy:
         assert verdict.basis is CompletenessBasis.CENT_PRIME_INFINITE_ORDER
 
     def test_conjugate_verdicts_inside_brute_classes(self, a3):
-        elements = [reduce_word(a3, w) for w in helpers.all_words(a3, 3)]
+        elements = [a3.element(w) for w in helpers.all_words(a3, 3)]
         elements = sorted(set(elements))
         for x in elements:
             cls = set(conjugacy_class_bruteforce(x, None))
@@ -692,7 +694,7 @@ class TestMinimality:
 
     def test_agrees_with_brute_force_in_finite_group(self, a3):
         for word in helpers.all_words(a3, 4):
-            e = reduce_word(a3, word)
+            e = a3.element(word)
             verdict = helpers.is_min_in_conjugacy_class(e)
             cls = conjugacy_class_bruteforce(e, None)
             truly_minimal = e.length == min(x.length for x in cls)
@@ -740,6 +742,62 @@ def test_cap_contract(check):
             assert all(o == default for o in answered), word
 
 
+# every public function that takes a cap, called in the affine A2, and the
+# search its first search node belongs to; s is the one node of its closure
+CAP_ZERO = {
+    "braid_class": (lambda m, cap: braid_class(m, "st", cap), "braid-move orbit"),
+    "braid_word_path": (lambda m, cap: braid_word_path(m, "st", "st", cap), "braid-move orbit"),
+    "reduce_word_with_path (cancel)": (lambda m, cap: reduce_word_with_path(m, "ss", cap),
+                                       "braid-move orbit"),
+    "reduce_word_with_path (reduced)": (lambda m, cap: reduce_word_with_path(m, "st", cap),
+                                        "braid-move orbit"),
+    "kappa_closure": (lambda m, cap: kappa_closure(m.element("s"), cap),
+                      "cyclic-shift closure"),
+    "is_cyclically_reduced": (lambda m, cap: is_cyclically_reduced(m.element("stu"), cap),
+                              "braid-move orbit"),
+    "cyclic_reduce": (lambda m, cap: cyclic_reduce(m.element("s"), cap),
+                      "cyclic-shift closure"),
+    "is_finite_order": (lambda m, cap: is_finite_order(m.element("stu"), cap),
+                        "cyclic-shift closure"),
+    "has_cent_prime": (lambda m, cap: has_cent_prime(m.element("stu"), cap), "braid-move orbit"),
+    "are_conjugate": (lambda m, cap: are_conjugate(m.element("s"), m.element("s"), cap=cap),
+                      "cyclic-shift closure"),
+    "is_straight": (lambda m, cap: is_straight(m.element("s"), cap), "cyclic-shift closure"),
+    "is_fc": (lambda m, cap: is_fc(m.element("stu"), cap), "braid-move orbit"),
+    "is_cfc": (lambda m, cap: is_cfc(m.element("stu"), cap), "braid-move orbit"),
+    "cfc_straight": (lambda m, cap: cfc_straight(m.element("stu"), cap), "braid-move orbit"),
+    "enumerate_elements": (lambda m, cap: enumerate_elements(m, 0, cap=cap),
+                           "element enumeration"),
+    "conjugacy_class_bruteforce": (
+        lambda m, cap: conjugacy_class_bruteforce(m.element("stu"), 0, cap=cap),
+        "element enumeration"),
+}
+
+
+@pytest.mark.parametrize("call, search", CAP_ZERO.values(), ids=CAP_ZERO.keys())
+def test_cap_zero_refuses_every_search(call, search):
+    # a search always visits its start, so a cap of 0 refuses on a fresh
+    # system and on one whose memos hold the default-cap answer, and the
+    # refusal names the search
+    matrix = CoxeterMatrix(helpers.A2T.names, helpers.A2T.table)
+    message = f"^{search} exceeded the node cap of 0$"
+    with pytest.raises(CapExceeded, match=message):
+        call(matrix, 0)
+    call(matrix, DEFAULT_CAP)
+    with pytest.raises(CapExceeded, match=message):
+        call(matrix, 0)
+
+
+def test_cap_zero_answers_without_a_search_node():
+    # the descent pair and a spherical support visit no search node
+    a3 = CoxeterMatrix(helpers.A3.names, helpers.A3.table)
+    w0 = a3.element("s1 s2 s1 s3 s2 s1")
+    assert is_cyclically_reduced(w0, 0) is False
+    assert is_finite_order(w0, 0) is True
+    a2t = CoxeterMatrix(helpers.A2T.names, helpers.A2T.table)
+    assert is_finite_order(a2t.identity(), 0) is True
+
+
 FUZZ_SYSTEMS = (helpers.A2T, helpers.B2T, helpers.G2T, helpers.T237, helpers.U3)
 
 
@@ -752,8 +810,8 @@ FUZZ_SYSTEMS = (helpers.A2T, helpers.B2T, helpers.G2T, helpers.T237, helpers.U3)
 def test_conjugates_are_never_refuted(matrix, u_letters, v_letters):
     # v u v^-1 is conjugate to u: NOT_CONJUGATE would be unsound, and every
     # certificate must replay from its input to the meeting element
-    u = reduce_word(matrix, u_letters)
-    w = conjugate(reduce_word(matrix, v_letters), u)
+    u = matrix.element(u_letters)
+    w = conjugate(matrix.element(v_letters), u)
     verdict = are_conjugate(u, w)
     assert verdict.status is not ConjugacyStatus.NOT_CONJUGATE
     if verdict.certificates is not None:

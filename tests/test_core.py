@@ -14,7 +14,6 @@ from coxkit import (
     left_descents,
     multiply,
     power,
-    reduce_word,
     right_descents,
     support,
 )
@@ -193,7 +192,7 @@ class TestIsReduced:
 
 class TestReduce:
     def test_ss_is_identity(self, a2t):
-        assert reduce_word(a2t, a2t.word("ss")).is_identity()
+        assert a2t.element("ss").is_identity()
 
     def test_square_of_worked_example(self, a2t):
         w = a2t.element("tustuts")
@@ -202,7 +201,7 @@ class TestReduce:
         assert square == a2t.element("tustustustus")
 
     def test_braid_related_words_agree(self, a2t):
-        assert reduce_word(a2t, a2t.word("sts")) == reduce_word(a2t, a2t.word("tst"))
+        assert a2t.element("sts") == a2t.element("tst")
 
     def test_canonical_examples(self, a2t):
         assert canonical_word(a2t, a2t.word("tst")) == a2t.word("sts")
@@ -287,7 +286,7 @@ class TestArithmetic:
     def test_inverse_length_preserved(self, a2t, b3):
         for matrix in (a2t, b3):
             for word in helpers.all_words(matrix, 5):
-                e = reduce_word(matrix, word)
+                e = matrix.element(word)
                 assert inverse(e).length == e.length
 
     def test_power_of_worked_example(self, a2t):
@@ -303,7 +302,7 @@ class TestArithmetic:
     @pytest.mark.parametrize("matrix", [helpers.A3, helpers.B3, helpers.H3, helpers.A2T,
                                         helpers.G2T, helpers.T237, helpers.U3])
     def test_power_matches_repeated_products(self, matrix):
-        for x in {reduce_word(matrix, w) for w in helpers.all_words(matrix, 3)}:
+        for x in {matrix.element(w) for w in helpers.all_words(matrix, 3)}:
             for sign, base in ((1, x), (-1, inverse(x))):
                 acc = matrix.identity()
                 for n in range(9):
@@ -319,7 +318,7 @@ class TestArithmetic:
         assert power(coxeter, 10**9 + 1) == coxeter
 
     def test_group_laws_on_small_sample(self, b3):
-        elements = [reduce_word(b3, w) for w in helpers.all_words(b3, 3)]
+        elements = [b3.element(w) for w in helpers.all_words(b3, 3)]
         sample = sorted(set(elements))[:10]
         for x in sample:
             assert multiply(x, inverse(x)).is_identity()
@@ -357,7 +356,7 @@ class TestDescentsAndSupport:
         # s is a left descent iff multiplying by s shortens by exactly one
         for matrix in (a2t, b3):
             for word in helpers.all_words(matrix, 4):
-                e = reduce_word(matrix, word)
+                e = matrix.element(word)
                 for i in range(matrix.rank):
                     product = multiply(matrix.generator(i), e)
                     if i in left_descents(e):
@@ -373,7 +372,7 @@ class TestDescentsAndSupport:
     def test_support_constant_across_class(self, a2t, b3):
         for matrix in (a2t, b3):
             for word in helpers.all_words(matrix, 5):
-                e = reduce_word(matrix, word)
+                e = matrix.element(word)
                 letter_sets = {frozenset(w) for w in braid_class(matrix, e.word)}
                 assert letter_sets == {support(e)}
 
@@ -406,7 +405,7 @@ class TestWordProperties:
     def test_reduction_parity_and_shrinking(self, letters):
         matrix = helpers.B3
         word = bytes(letters)
-        e = reduce_word(matrix, word)
+        e = matrix.element(word)
         assert e.length <= len(word)
         assert e.length % 2 == len(word) % 2
 
@@ -414,7 +413,7 @@ class TestWordProperties:
     @given(letters=WORD_STRATEGY)
     def test_braid_class_uniformity(self, letters):
         matrix = helpers.A2T
-        e = reduce_word(matrix, bytes(letters))
+        e = matrix.element(bytes(letters))
         cls = braid_class(matrix, e.word)
         assert {len(w) for w in cls} == {e.length}
         assert all(canonical_word(matrix, w) == e.word for w in cls)

@@ -12,7 +12,6 @@ from coxkit import (
     is_reduced,
     is_reduced_oracle,
     order_bruteforce,
-    reduce_word,
 )
 from coxkit import core, oracle
 from coxkit.cli import EXIT_USAGE, run
@@ -218,6 +217,6 @@ class TestOrderConsistency:
         # pushing far beyond 6 only inflates braid classes of infinite-order powers
         for matrix in (a3, a2t):
             for word in helpers.all_words(matrix, 5):
-                e = reduce_word(matrix, word)
+                e = matrix.element(word)
                 found = order_bruteforce(e, 6) is not None
                 assert found == is_finite_order(e), str(e)

@@ -28,7 +28,7 @@ to 5 letters, where Cent' also fails on elements of infinite order.
 ``has_cent_prime`` also memoises its verdict per length-preserving closure
 and drops an image as soon as it is too long to end in R0, and a certificate
 hop braids into rho, rotates and reduces, braiding a reduced rotation only as
-far as its normal form.  Those must match fresh systems and the reference
+far as its normal form; a path certificate is its hops' moves in order.  Those must match fresh systems and the reference
 engines too.
 """
 
@@ -41,6 +41,7 @@ from coxkit import (
     DEFAULT_CAP,
     CoxeterMatrix,
     Element,
+    RotateStep,
     braid_class,
     conjugate,
     enumerate_elements,
@@ -53,9 +54,8 @@ from coxkit import (
     torsion_witness,
 )
 from coxkit.conjugacy import (
-    _conjugate_within,
     _elementary_targets,
-    _hop_certificate,
+    _path_certificate,
     _spherical_reflections,
 )
 from coxkit.core import _conjugate_word
@@ -204,17 +204,19 @@ def test_conjugate_and_normalises_match_reference(matrix):
 @pytest.mark.parametrize("matrix", CONJUGATION_SYSTEMS.values(), ids=CONJUGATION_SYSTEMS.keys())
 def test_bounded_conjugation_drops_only_what_cannot_fit(matrix):
     # with a bound, a conjugate that fits is always built, and one that does
-    # not is built or dropped (None); in A3, s1 s2 conjugates s1 to s2
-    # through s2 s1 s2, so a bound of one letter must keep it
+    # not is built or dropped (None); without one, the conjugate is always
+    # built; in A3, s1 s2 conjugates s1 to s2 through s2 s1 s2, so a bound
+    # of one letter must keep it
     elements = enumerate_elements(matrix, 3)
     for v in elements:
         for x in elements:
             full = _conjugate_word(matrix, v.word, x.word)
+            assert full == conjugate(v, x).word, (v, x)
             for top in range(len(full) + 3):
-                bounded = _conjugate_within(matrix, v.word, x.word, top)
+                bounded = _conjugate_word(matrix, v.word, x.word, top)
                 assert bounded == full or (bounded is None and len(full) > top), (v, x, top)
     a3 = helpers.A3
-    assert _conjugate_within(a3, a3.word("s1 s2"), a3.word("s1"), 1) == a3.word("s2")
+    assert _conjugate_word(a3, a3.word("s1 s2"), a3.word("s1"), 1) == a3.word("s2")
 
 
 # system, longest element length swept by the torsion scan
@@ -286,14 +288,35 @@ def test_cent_prime_memo_matches_fresh_and_reference(matrix, max_len):
                          ids=["A2~", "B2~", "G2~", "B3"])
 def test_hop_certificates_match_reference(matrix):
     # every parent edge of every closure of elements of at most 6 letters,
-    # against the reference braid-path and reduction engines, on hops that
-    # keep the length and on hops that shorten it
+    # certified over a parent map of that one hop, against the reference
+    # braid-path and reduction engines, on hops that keep the length and on
+    # hops that shorten it
     kept = shortened = 0
     for u in enumerate_elements(matrix, 6):
-        for target, (prev, (rho, k)) in kappa_closure(u).word_parents.items():
+        for target, edge in kappa_closure(u).word_parents.items():
+            prev, (rho, k) = edge
+            cert = _path_certificate(matrix, prev, {target: edge}, target, DEFAULT_CAP)
             prev, target = Element(matrix, prev), Element(matrix, target)
-            cert = _hop_certificate(prev, rho, k, target, DEFAULT_CAP)
             assert cert == helpers.reference_hop_certificate(prev, rho, k, target), (u, target)
             kept += target.length == prev.length
             shortened += target.length < prev.length
     assert kept and shortened
+
+
+@pytest.mark.parametrize("matrix", [helpers.A2T, helpers.B2T, helpers.G2T, helpers.B3],
+                         ids=["A2~", "B2~", "G2~", "B3"])
+def test_path_certificates_match_reference(matrix):
+    # from the start of every closure of elements of at most 6 letters to
+    # every node, over as many hops as the parent chain takes: the hops'
+    # reference certificates joined, and the steps replay to the node
+    hops = set()
+    for u in enumerate_elements(matrix, 6):
+        closure = kappa_closure(u)
+        for node in closure.nodes:
+            cert = _path_certificate(matrix, u.word, closure.word_parents, node.word,
+                                     DEFAULT_CAP)
+            assert cert == helpers._reference_path_certificate(closure, node, DEFAULT_CAP), (
+                u, node)
+            assert cert.replay(matrix) == node.word, (u, node)
+            hops.add(sum(isinstance(step, RotateStep) for step in cert.steps))
+    assert {0, 1, 2} <= hops

@@ -20,7 +20,6 @@ from coxkit import (
     multiply,
     only_infinite_irreducible_components,
     power_length_profile,
-    reduce_word,
     standard_parabolic_closure,
     support,
 )
@@ -248,22 +247,30 @@ class TestFullyCommutative:
     def test_definitional_and_factor_paths_agree(self, a2t, b3, b2):
         for matrix in (a2t, b3, b2):
             for word in helpers.all_words(matrix, 5):
-                e = reduce_word(matrix, word)
+                e = matrix.element(word)
                 assert is_fc(e) == helpers.is_fc_definitional(e), str(e)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A2T", "B2T", "T237"])
     def test_capped_search_matches_reference_or_refuses(self, name):
         # the search covers at most the commutation class, so a cap of its
-        # size never refuses, and a smaller one may only refuse
+        # size never refuses, and a smaller one may only refuse; it refuses
+        # at exactly the caps where the commutation-only search with the
+        # braid-factor stop does, with the same message
+        def outcome(search, w, cap):
+            try:
+                return search(w, cap)
+            except CapExceeded as exc:
+                return str(exc)
+
         matrix = _fresh(getattr(helpers, name))
         for w in enumerate_elements(matrix, 5):
             expected = helpers.is_fc_definitional(w)
             size = len(helpers.commutation_class(matrix, w.word))
             for cap in range(1, size + 2):
-                try:
-                    assert is_fc(w, cap) == expected, (str(w), cap)
-                except CapExceeded:
-                    assert cap < size, (str(w), cap)
+                got = outcome(is_fc, w, cap)
+                assert got == outcome(helpers.reference_is_fc, w, cap), (str(w), cap)
+                assert got == expected or (isinstance(got, str) and cap < size), (
+                    str(w), cap)
 
 
 class TestCyclicallyFullyCommutative:
@@ -334,7 +341,7 @@ class TestCoxeterElements:
 
         for matrix in (a2t, a3):
             for order in itertools.permutations(range(matrix.rank)):
-                c = reduce_word(matrix, bytes(order))
+                c = matrix.element(bytes(order))
                 assert helpers.is_coxeter_element(c)
                 assert is_straight(c).straight == coxeter_straight(matrix)
 
