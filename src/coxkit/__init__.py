@@ -78,7 +78,6 @@ from .oracle import (
     GeometricRep,
     conjugacy_class_bruteforce,
     enumerate_elements,
-    geometric_rep,
     is_reduced_oracle,
     order_bruteforce,
 )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -47,10 +48,18 @@ EXIT_UNKNOWN = 3
 def parse_system_file(path: str) -> CoxeterMatrix:
     """Parse a system definition file; diagnostics carry line and column."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise SystemFileError(str(exc), path) from None
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the text before the first bad byte decodes; a mark put at its end
+        # stands where that byte does
+        before = (data[: exc.start].decode("utf-8") + "^").splitlines()
+        raise SystemFileError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text", path,
+                              len(before), len(before[-1])) from None
 
     names = None
     pairs = {}  # normalised (a, b) -> value
@@ -372,7 +381,7 @@ COMMANDS = [
     ("is-reduced", "cmd_verdict", "decide reducedness of a word", WORDS,
      lambda m, a: core.is_reduced(m, a.word)),
     ("inverse", "cmd_word", "canonical word of the inverse", WORDS,
-     lambda m, a: m.element(a.word).inverse()),
+     lambda m, a: core.inverse(m.element(a.word))),
     ("support", "cmd_support", "generators occurring in reduced words", WORDS),
     ("descents", "cmd_descents", "left and right descent sets", WORDS),
     ("closure", "cmd_closure", "standard parabolic closure of an element", WORDS),
@@ -507,7 +516,15 @@ def _inputs_of(args) -> dict:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so that the
+        # flush at exit does not fail again, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -460,15 +460,19 @@ def canonical_word(matrix: CoxeterMatrix, word: WordLike) -> Word:
     return canon
 
 
-def _walk_parents(parents, target) -> list:
-    """The braid moves leading to ``target`` along first-discovery pointers."""
-    chain = []
-    w = target
+def _braid_path(matrix: CoxeterMatrix, word: Word, stop, cap: int):
+    """``(hit, steps)``: the first word of the braid-move orbit of ``word``
+    for which ``stop`` holds (None if there is none), and the braid moves
+    leading to it along first-discovery pointers."""
+    parents = {}
+    _, hit = _braid_orbit(matrix, word, cap, stop=stop, parents=parents)
+    steps = []
+    w = hit
     while w in parents:
         w, pos = parents[w]
-        chain.append(BraidStep(pos, (w[pos], w[pos + 1])))
-    chain.reverse()
-    return chain
+        steps.append(BraidStep(pos, (w[pos], w[pos + 1])))
+    steps.reverse()
+    return hit, steps
 
 
 def reduce_word_with_path(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFAULT_CAP):
@@ -485,9 +489,8 @@ def reduce_word_with_path(matrix: CoxeterMatrix, word: WordLike, cap: int = DEFA
     canon = canonical_word(matrix, cur)
     steps = []
     while len(cur) > len(canon):
-        parents = {}
-        _, sigma = _braid_orbit(matrix, cur, cap, stop=_has_repeat, parents=parents)
-        steps.extend(_walk_parents(parents, sigma))
+        sigma, path = _braid_path(matrix, cur, _has_repeat, cap)
+        steps.extend(path)
         p = next(i for i in range(len(sigma) - 1) if sigma[i] == sigma[i + 1])
         steps.append(CancelStep(p))
         cur = sigma[:p] + sigma[p + 2 :]
@@ -500,13 +503,12 @@ def braid_word_path(matrix: CoxeterMatrix, source: WordLike, target: WordLike,
     """A braid-move path between two words of one braid class."""
     source = matrix.word(source)
     target = matrix.word(target)
-    parents = {}
-    _, hit = _braid_orbit(matrix, source, cap, stop=target.__eq__, parents=parents)
+    hit, steps = _braid_path(matrix, source, target.__eq__, cap)
     if hit is None:
         raise ValueError(
             f"{matrix.word_str(source)} and {matrix.word_str(target)} are not braid-related"
         )
-    return _walk_parents(parents, target)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +532,6 @@ class Element:
 
     def is_identity(self) -> bool:
         return not self.word
-
-    def inverse(self) -> "Element":
-        return inverse(self)
 
     def __mul__(self, other):
         if not isinstance(other, Element):

@@ -40,11 +40,9 @@ DEFAULT_ORACLE_LENGTH_CAP = 16
 
 
 class GeometricRep:
-    """Per-generator linear maps on the root space, with a sign tolerance."""
+    """The bilinear form on the root space and the per-generator linear maps."""
 
-    def __init__(self, matrix: CoxeterMatrix, tolerance: float = DEFAULT_TOLERANCE):
-        if not 0 < tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    def __init__(self, matrix: CoxeterMatrix):
         n = matrix.rank
         form = np.empty((n, n), dtype=np.float64)
         for i in range(n):
@@ -64,19 +62,8 @@ class GeometricRep:
             reflection = np.eye(n)
             reflection[i, :] -= 2.0 * form[i, :]
             maps.append(reflection)
-        self.matrix = matrix
         self.form = form
         self.maps = tuple(maps)
-        self.tolerance = tolerance
-
-
-def geometric_rep(matrix: CoxeterMatrix, tolerance: float = DEFAULT_TOLERANCE) -> GeometricRep:
-    cache = matrix._scratch["georep"]
-    rep = cache.get(tolerance)
-    if rep is None:
-        rep = GeometricRep(matrix, tolerance)
-        cache[tolerance] = rep
-    return rep
 
 
 def is_reduced_oracle(matrix: CoxeterMatrix, word: WordLike, *,
@@ -93,7 +80,9 @@ def is_reduced_oracle(matrix: CoxeterMatrix, word: WordLike, *,
         raise CapExceeded(
             f"oracle word-length cap {length_cap} exceeded (word has {len(word)} letters)"
         )
-    rep = geometric_rep(matrix, tolerance)
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    rep = GeometricRep(matrix)
     prefix = np.eye(matrix.rank)
     for letter in word:
         root = prefix[:, letter]

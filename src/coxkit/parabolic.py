@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import networkx as nx
 from networkx.algorithms.isomorphism import categorical_edge_match
@@ -43,14 +43,7 @@ from .core import (
 )
 from .errors import NotNormalising, NotSpherical
 
-Members = Union[Iterable[int], "GeneratorSubset"]
-
-
-def _members(matrix: CoxeterMatrix, subset: Members) -> frozenset:
-    if isinstance(subset, GeneratorSubset):
-        if subset.system != matrix:
-            raise ValueError("generator subset belongs to a different system")
-        return subset.members
+def _members(matrix: CoxeterMatrix, subset: Iterable[int]) -> frozenset:
     members = frozenset(subset)
     for i in members:
         if not isinstance(i, int) or not 0 <= i < matrix.rank:
@@ -93,7 +86,7 @@ def _components(matrix: CoxeterMatrix, members, joined) -> tuple:
     return tuple(components)
 
 
-def diagram_components(matrix: CoxeterMatrix, subset: Members) -> tuple:
+def diagram_components(matrix: CoxeterMatrix, subset: Iterable[int]) -> tuple:
     """Partition into diagram-connected pieces (edges where m(s,t) != 2)."""
     return _components(matrix, _members(matrix, subset), lambda m: m != 2)
 
@@ -170,7 +163,7 @@ def _component_is_finite_type(matrix: CoxeterMatrix, comp: frozenset) -> bool:
     return False
 
 
-def is_spherical(matrix: CoxeterMatrix, subset: Members) -> bool:
+def is_spherical(matrix: CoxeterMatrix, subset: Iterable[int]) -> bool:
     """True iff the subset generates a finite standard parabolic subgroup."""
     return _is_spherical(matrix, _members(matrix, subset))
 
@@ -178,29 +171,27 @@ def is_spherical(matrix: CoxeterMatrix, subset: Members) -> bool:
 def _is_spherical(matrix: CoxeterMatrix, members: frozenset) -> bool:
     """:func:`is_spherical` for a frozenset of valid generator indices, as the
     engine builds them: memoised per system, with no validation."""
-    key = ("spherical", members)
-    cache = matrix._scratch["parabolic"]
-    hit = cache.get(key)
+    cache = matrix._scratch["spherical"]
+    hit = cache.get(members)
     if hit is None:
-        hit = all(
+        hit = cache[members] = all(
             _component_is_finite_type(matrix, comp)
             for comp in diagram_components(matrix, members)
         )
-        cache[key] = hit
     return hit
 
 
-def generator_subset(matrix: CoxeterMatrix, subset: Members) -> GeneratorSubset:
+def generator_subset(matrix: CoxeterMatrix, subset: Iterable[int]) -> GeneratorSubset:
     members = _members(matrix, subset)
     return GeneratorSubset(
         system=matrix,
         members=members,
         components=diagram_components(matrix, members),
-        spherical=is_spherical(matrix, members),
+        spherical=_is_spherical(matrix, members),
     )
 
 
-def normalises(w: Element, subset: Members) -> bool:
+def normalises(w: Element, subset: Iterable[int]) -> bool:
     """True iff conjugation by w keeps every generator of the subset in W_I:
     supp(w s_i w^-1) lies in I for every i in I, tested in increasing order."""
     members = _members(w.system, subset)
@@ -213,7 +204,7 @@ def centralises(w: Element, generators: Iterable[Element]) -> bool:
     return all(conjugate(w, g) == g for g in generators)
 
 
-def min_coset_rep(subset: Members, w: Element) -> Element:
+def min_coset_rep(subset: Iterable[int], w: Element) -> Element:
     """The unique shortest element of the coset W_I * w (strip left descents in I)."""
     members = _members(w.system, subset)
     cur = w
@@ -229,14 +220,13 @@ class NormaliserDecomposition:
     """w = torsion_part * straight_part with additive lengths, torsion_part in
     W_I and straight_part in the complement N_I of the normaliser."""
 
-    subset: GeneratorSubset
     torsion_part: Element
     straight_part: Element
 
 
-def normaliser_decomposition(w: Element, subset: Members) -> NormaliserDecomposition:
+def normaliser_decomposition(w: Element, subset: Iterable[int]) -> NormaliserDecomposition:
     matrix = w.system
-    sub = generator_subset(matrix, _members(matrix, subset))
+    sub = generator_subset(matrix, subset)
     if not sub.spherical:
         raise NotSpherical(f"subset {sub} does not generate a finite subgroup")
     if not normalises(w, sub.members):
@@ -248,7 +238,7 @@ def normaliser_decomposition(w: Element, subset: Members) -> NormaliserDecomposi
             and not (left_descents(n_part) & sub.members)
             and normalises(n_part, sub.members)):
         raise NotNormalising(f"element {w} admits no semidirect splitting over {sub}")
-    return NormaliserDecomposition(sub, w_part, n_part)
+    return NormaliserDecomposition(w_part, n_part)
 
 
 def torsion_witness(w: Element) -> Optional[frozenset]:
@@ -300,7 +290,7 @@ def standard_parabolic_closure(w: Element) -> GeneratorSubset:
     return generator_subset(w.system, support(w))
 
 
-def only_infinite_irreducible_components(matrix: CoxeterMatrix, subset: Members) -> bool:
+def only_infinite_irreducible_components(matrix: CoxeterMatrix, subset: Iterable[int]) -> bool:
     """True iff the subset is empty or no component matches a finite type."""
     return all(
         not _component_is_finite_type(matrix, comp)

@@ -121,8 +121,8 @@ def all_words(matrix, max_len):
 def naive_braid_orbit(matrix, word):
     """Independent braid-orbit oracle: plain fixpoint iteration.
 
-    Applies every applicable braid move to every known word until nothing new
-    appears.  No queues, no early exits, no caching.
+    Applies every applicable braid move to every word found in the round
+    before until nothing new appears.  No queues, no early exits, no caching.
     """
     def moves(w):
         out = []
@@ -137,16 +137,19 @@ def naive_braid_orbit(matrix, word):
                 out.append(w[:pos] + swapped + w[pos + m :])
         return out
 
-    orbit = {word}
+    # a word's moves are the same every round, so each round expands only
+    # the words the round before added
+    orbit, frontier = {word}, {word}
     while True:
         grown = set()
-        for w in orbit:
+        for w in frontier:
             for new in moves(w):
                 if new not in orbit:
                     grown.add(new)
         if not grown:
             return orbit
         orbit |= grown
+        frontier = grown
 
 
 def naive_is_reduced(matrix, word):

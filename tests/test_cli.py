@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -69,21 +70,25 @@ class TestSystemFiles:
         assert matrix.m(0, 1) == float("inf")
 
     @pytest.mark.parametrize(
-        "text,line,column",
+        "data,line,column",
         [
-            ("generators: s t\nm: s t 1\n", 2, 8),          # order below 2
-            ("generators: s t\nm: s t 3\nm: t s 4\n", 3, 4),  # pair listed twice
-            ("generators: s t\nm: s x 3\n", 2, 6),          # undeclared generator
-            ("generators: s s\n", 1, 15),                   # duplicate generator
-            ("m: s t 3\n", 1, 1),                           # missing generators line
-            ("generators: s t\nm: s s 4\n", 2, 6),          # equal pair
-            ("generators: s t\nwat: 1\n", 2, 1),            # unknown directive
-            ("generators: s t\nm: s t x\n", 2, 8),          # unreadable order
+            (b"generators: s t\nm: s t 1\n", 2, 8),          # order below 2
+            (b"generators: s t\nm: s t 3\nm: t s 4\n", 3, 4),  # pair listed twice
+            (b"generators: s t\nm: s x 3\n", 2, 6),          # undeclared generator
+            (b"generators: s s\n", 1, 15),                   # duplicate generator
+            (b"m: s t 3\n", 1, 1),                           # missing generators line
+            (b"generators: s t\nm: s s 4\n", 2, 6),          # equal pair
+            (b"generators: s t\nwat: 1\n", 2, 1),            # unknown directive
+            (b"generators: s t\nm: s t x\n", 2, 8),          # unreadable order
+            (b"\xffgenerators: s t\n", 1, 1),                # not UTF-8 text
+            (b"generators: s t\nm: s t \xe9\n", 2, 8),
+            # the column counts characters, so the two-byte e is one column
+            (b"generators: s\xc3\xa9 t\nm: s\xc3\xa9 t \xff3\n", 2, 9),
         ],
     )
-    def test_diagnostics_carry_line_and_column(self, tmp_path, text, line, column):
+    def test_diagnostics_carry_line_and_column(self, tmp_path, data, line, column):
         path = tmp_path / "bad.cox"
-        path.write_text(text)
+        path.write_bytes(data)
         with pytest.raises(SystemFileError) as info:
             parse_system_file(str(path))
         assert info.value.line == line
@@ -323,6 +328,26 @@ class TestExitCodes:
     def test_negative_exponent_stays_signed(self, capsys, a2t_file):
         code, out, _ = invoke(capsys, "power", "--matrix", a2t_file, "stu", "--", "-1")
         assert code == EXIT_OK and out == "uts\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["length", "abc"],             # written at the final flush
+        ["enumerate", "10"],           # about 30 kB, written while printing
+    ], ids=["short", "long"])
+    def test_closed_pipe_exits_without_a_traceback(self, tmp_path, argv):
+        path = tmp_path / "u3.cox"
+        path.write_text("generators: a b c\nm: a b inf\nm: b c inf\nm: a c inf\n")
+        # the reader closes its end before anything is written
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "coxkit", argv[0], "--matrix", str(path), *argv[1:]],
+                stdout=writer, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(writer)
+        assert result.returncode == 1
+        assert result.stderr == b""
 
 
 class TestDeterminism:

@@ -5,9 +5,9 @@ import pytest
 
 import helpers
 from coxkit import (
+    GeometricRep,
     conjugacy_class_bruteforce,
     enumerate_elements,
-    geometric_rep,
     is_finite_order,
     is_reduced,
     is_reduced_oracle,
@@ -22,17 +22,17 @@ from coxkit.errors import CapExceeded
 class TestGeometricRep:
     def test_generator_maps_are_involutions(self):
         for matrix in helpers.WORD_PROBLEM_SYSTEMS:
-            rep = geometric_rep(matrix)
+            rep = GeometricRep(matrix)
             for reflection in rep.maps:
                 assert np.allclose(reflection @ reflection, np.eye(matrix.rank), atol=1e-12)
 
     def test_form_diagonal_exactly_one(self):
         for matrix in helpers.WORD_PROBLEM_SYSTEMS:
-            rep = geometric_rep(matrix)
+            rep = GeometricRep(matrix)
             assert all(rep.form[i, i] == 1.0 for i in range(matrix.rank))
 
     def test_infinite_order_encodes_minus_one(self, dinf):
-        rep = geometric_rep(dinf)
+        rep = GeometricRep(dinf)
         assert rep.form[0, 1] == -1.0
 
 
@@ -48,10 +48,11 @@ class TestIsReducedOracle:
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_tolerance_that_is_not_positive_and_finite(self, a2t, tolerance):
-        cached = dict(a2t._scratch.get("georep", {}))
         with pytest.raises(ValueError, match="tolerance"):
             is_reduced_oracle(a2t, a2t.word("st"), tolerance=tolerance)
-        assert a2t._scratch.get("georep", {}) == cached
+        # the length cap is checked first, so a call with both faults refuses
+        with pytest.raises(CapExceeded):
+            is_reduced_oracle(a2t, a2t.word("stu" * 6), tolerance=tolerance)
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
     def test_cli_refuses_bad_tolerance_as_usage_error(self, tmp_path, capsys, tolerance):

@@ -309,7 +309,7 @@ class TestCfcStraight:
             cfc_straight(u3.element("aba"))
         # the support condition itself would have been true: one infinite component
         assert only_infinite_irreducible_components(
-            u3, standard_parabolic_closure(u3.element("aba"))
+            u3, standard_parabolic_closure(u3.element("aba")).members
         )
 
     def test_agrees_with_exact_decision(self, a2t, dinf):
